@@ -20,6 +20,7 @@ package repro_test
 import (
 	"testing"
 
+	"repro/internal/service"
 	"repro/slx"
 	"repro/slx/check"
 	"repro/slx/hist"
@@ -395,6 +396,35 @@ func BenchmarkExploreRecoveryMonitor(b *testing.B) {
 // both footprints and fingerprints.
 func BenchmarkExploreRecoveryCachePOR(b *testing.B) {
 	benchExplore(b, recExploreChecker(slx.WithPOR(), slx.WithStateCache()), strictProp())
+}
+
+// targetExploreChecker builds the checker of a registered slxd target
+// at one worker, exactly as `slx explore -target` runs it.
+func targetExploreChecker(b *testing.B, name string, depth int) (*slx.Checker, slx.Property) {
+	t, ok := service.LookupTarget(name)
+	if !ok {
+		b.Fatalf("unknown target %q", name)
+	}
+	opts := append(t.Options(), slx.WithDepth(depth), slx.WithWorkers(1))
+	return slx.New(opts...), t.Property()
+}
+
+// BenchmarkExploreQueueMonitor measures the plain monitor path on the
+// 8-process queueblast target at depth 5: nearly all of its time is the
+// LinMonitor closure over QueueSpec, so its allocation count gates the
+// seen set, the promise arena and the queue specification's encoding.
+func BenchmarkExploreQueueMonitor(b *testing.B) {
+	c, prop := targetExploreChecker(b, "queueblast", 5)
+	benchExplore(b, c, prop)
+}
+
+// BenchmarkExploreTMMonitor measures the plain monitor path on the
+// global-CAS TM target at depth 12 under opacity: its allocation count
+// gates TMMonitor's incremental transaction records and serialization
+// search.
+func BenchmarkExploreTMMonitor(b *testing.B) {
+	c, prop := targetExploreChecker(b, "globalcas", 12)
+	benchExplore(b, c, prop)
 }
 
 func benchExploreLinearizability(b *testing.B, c *slx.Checker) {

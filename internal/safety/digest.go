@@ -120,21 +120,33 @@ func (m *mutexMonitor) StateDigest() (uint64, bool) {
 	return digestStrings("mutex", strconv.Itoa(m.holder)+"/"+strconv.FormatBool(m.failed)), true
 }
 
-// StateDigest implements Digester. The TM serialization searches
-// re-examine the entire accumulated history on every response, so the
-// monitor's residual state IS the history: the digest is a canonical
-// encoding of the event sequence. Exploration therefore deduplicates TM
-// states only across schedules that produced the identical external
-// history (interleavings that reorder only internal steps), which is
-// sound by construction.
+// StateDigest implements Digester. The TM monitor's residual state is
+// its transaction records, which are a function of the consumed history,
+// so the digest is a canonical encoding of the event sequence.
+// Exploration therefore deduplicates TM states only across schedules
+// that produced the identical external history (interleavings that
+// reorder only internal steps), which is sound by construction. Events
+// are folded in lazily, here: the ones consumed since the last call,
+// oldest first.
 func (m *TMMonitor) StateDigest() (uint64, bool) {
+	if k := m.n - m.folded; k > 0 {
+		pending := make([]*eventNode, k)
+		for node := m.events; k > 0; node = node.prev {
+			k--
+			pending[k] = node
+		}
+		for _, node := range pending {
+			m.dig.Append(node.e)
+		}
+		m.folded = m.n
+	}
 	return m.dig.Sum("tm/" + strconv.FormatBool(m.strict) + "/" + strconv.FormatBool(m.rule) + "/" + strconv.FormatBool(m.failed))
 }
 
 // HistoryDigest is a running canonical digest of an event sequence,
 // maintained in O(1) per appended event — the residual-state digest of
-// monitors whose state IS their history (TMMonitor, the slx batch
-// fallback), which would otherwise re-encode the whole history on
+// monitors whose state is a function of their history (TMMonitor, the
+// slx batch fallback), which would otherwise re-encode the whole history on
 // every explored prefix (O(depth²) along a DFS path). The zero value
 // digests the empty sequence; copies are independent, so forked
 // monitors just copy the struct.

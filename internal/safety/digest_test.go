@@ -1,6 +1,8 @@
 package safety
 
 import (
+	"math/rand"
+	"strconv"
 	"testing"
 
 	"repro/internal/history"
@@ -75,5 +77,43 @@ func TestDigestPoisonsAddressValues(t *testing.T) {
 	h := history.History{{Kind: history.KindInvoke, Proc: 1, Op: "w", Arg: bad}}
 	if _, ok := DigestHistory("t", h); ok {
 		t.Error("DigestHistory with nested-pointer argument still digests")
+	}
+}
+
+// TestTMMonitorLazyDigest pins the lazy fold: whenever StateDigest is
+// called — every event, now and then, or only at the end, on the
+// monitor or on forks taken along the way — it equals the from-scratch
+// digest of the consumed history.
+func TestTMMonitorLazyDigest(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	for i := 0; i < 200; i++ {
+		h := randomTMHistory(r, 3, 4+r.Intn(24))
+		every := 1 + r.Intn(5)
+		m := NewOpacityMonitor()
+		var forks []*TMMonitor
+		var forkLen []int
+		consumed := 0 // a failed monitor consumes no further events
+		for k, e := range h {
+			if m.OK() {
+				consumed++
+			}
+			m.Step(e)
+			if k%every == 0 {
+				want, _ := DigestHistory("tm/false/false/"+strconv.FormatBool(!m.OK()), h[:consumed])
+				if got, _ := m.StateDigest(); got != want {
+					t.Fatalf("digest after %d events of %s: got %x, want %x", k+1, h, got, want)
+				}
+			}
+			if r.Intn(4) == 0 {
+				forks = append(forks, m.Fork().(*TMMonitor))
+				forkLen = append(forkLen, consumed)
+			}
+		}
+		for j, f := range forks {
+			want, _ := DigestHistory("tm/false/false/"+strconv.FormatBool(!f.OK()), h[:forkLen[j]])
+			if got, _ := f.StateDigest(); got != want {
+				t.Fatalf("fork at %d of %s: got %x, want %x", forkLen[j], h, got, want)
+			}
+		}
 	}
 }

@@ -1,9 +1,8 @@
 package safety
 
 import (
-	"fmt"
+	"hash/maphash"
 	"math/bits"
-	"strings"
 	"sync"
 
 	"repro/internal/history"
@@ -42,10 +41,12 @@ import (
 // (copy-on-append via a capacity clip) and completion lives in a bitmask
 // on the monitor; configurations are plain values in a monitor-owned
 // slice (no per-configuration heap object); promises are short sorted
-// slices, deduplicated through a fully comparable key with the promises
-// inlined (no string building); and the search's stack, seen-set and
-// output buffer come from a shared pool, so the constant forking of
-// exploration never re-grows them.
+// slices, deduplicated by an open-addressed hash set whose promise-set
+// hash is an order-independent sum, so a speculative step is hashed and
+// compared without building its extended promise set; and the search's
+// stack, seen-set, promise arena and output buffer come from shared,
+// reused scratch, so the constant forking of exploration never re-grows
+// them.
 type LinMonitor struct {
 	spec  SeqSpec
 	aspec AppendSpec // spec's allocation-free form, nil if not provided
@@ -77,107 +78,334 @@ type LinMonitor struct {
 }
 
 // linScratch is the transient state of one advance call: the closure
-// search's stack and seen-set, the rebuilt configuration set, and the
-// spec's transition buffer. Monitors are forked far more often than they
-// are advanced, so scratch is pooled globally rather than carried (and
-// re-grown) per fork; advance holds one scratch for its full duration,
-// which keeps pool use safe under parallel exploration.
+// search's stack and seen-set, the rebuilt configuration set, the
+// promise arena and the memoized spec transitions. Monitors are forked
+// far more often than they are advanced, so scratch is kept globally
+// (idleScratch) rather than carried (and re-grown) per fork; advance
+// holds one scratch for its full duration, which keeps reuse safe under
+// parallel exploration.
 type linScratch struct {
-	// The seen set is an array of configurations scanned linearly,
-	// spilling to a hash map only past seenInline entries: advances see
-	// a handful of configurations, and structural comparison (early-exit
-	// on the mask word, promise slices shared rather than copied) is far
-	// cheaper than building and hashing interface-bearing map keys.
-	keys  []linCfg
-	seen  map[cfgKey]bool // spill for pathological advances
-	spill bool            // seen holds entries from this advance
-	stack []linCfg
-	next  []linCfg
-	trbuf []Transition
+	seen     slotIndex // over seenCfgs
+	seenCfgs []linCfg
+	stack    []searchCfg
+	next     []searchCfg
+	// arena backs the promise slices the closure creates. They live only
+	// until the advance ends, when commit copies the surviving ones out
+	// in one allocation, so the search itself allocates nothing.
+	arena []promise
+	// memo caches the spec's transitions per (operation, state) for the
+	// advance: the closure reaches one state under many masks and
+	// promise sets, and the spec is a pure function of the two. trs
+	// backs the cached transition lists.
+	memo     slotIndex // over memoKeys
+	memoKeys []memoKey
+	trs      []Transition
 }
 
-// seenInline is how many seen-set entries stay in the linear-scan array
-// before inserts spill into the hash map.
-const seenInline = 32
+// memoKey is one cached apply: operation op at state st, whose
+// transitions are trs[start:end].
+type memoKey struct {
+	op         int32
+	start, end int32
+	st         State
+}
 
 func (sc *linScratch) reset() {
-	sc.keys = sc.keys[:0]
-	if sc.spill {
-		clear(sc.seen)
-		sc.spill = false
+	sc.seen.reset()
+	sc.seenCfgs = sc.seenCfgs[:0]
+	sc.memo.reset()
+	sc.memoKeys = sc.memoKeys[:0]
+	sc.trs = sc.trs[:0]
+	sc.next = sc.next[:0]
+	sc.arena = sc.arena[:0]
+}
+
+// lookup probes the seen set for the queried configuration under hash
+// h. It returns found, or the free slot where record should store it.
+func (sc *linScratch) lookup(h uint64, q *cfgQuery) (slot int, found bool) {
+	x := &sc.seen
+	m := len(x.slots) - 1
+	for i := int(h) & m; ; i = (i + 1) & m {
+		sl := x.slots[i]
+		if sl.gen != x.gen {
+			return i, false
+		}
+		if x.hashes[sl.idx] == h && q.matches(&sc.seenCfgs[sl.idx]) {
+			return i, true
+		}
 	}
 }
 
-// markOf reports whether configuration (mask, st, proms) was already
-// seen, recording it if not. The recorded entry shares proms.
-func (sc *linScratch) markOf(mask uint64, st State, proms []promise) bool {
-	for i := range sc.keys {
-		k := &sc.keys[i]
-		if k.mask == mask && len(k.promises) == len(proms) && k.st == st && promEq(k.promises, proms) {
-			return true
+// record stores c under hash h in the free slot lookup returned.
+func (sc *linScratch) record(slot int, h uint64, c *searchCfg) {
+	sc.seenCfgs = append(sc.seenCfgs, c.linCfg)
+	sc.seen.insert(slot, h)
+}
+
+// markOf reports whether configuration c was already seen, recording it
+// if not. The recorded entry shares c's promises.
+func (sc *linScratch) markOf(c *searchCfg) bool {
+	h := cfgHash(c.mask, c.sh, c.ph)
+	q := cfgQuery{mask: c.mask, st: c.st, base: c.promises}
+	slot, found := sc.lookup(h, &q)
+	if !found {
+		sc.record(slot, h, c)
+	}
+	return found
+}
+
+// markWith is markOf for nc (mask and state set) holding base's
+// promises plus {idx→val}. The extended promise set is hashed from
+// base's sum and compared against stored entries without being built;
+// it is only materialized, in the arena, when the configuration is
+// fresh, and then attached to nc with its hash.
+func (sc *linScratch) markWith(nc, base *searchCfg, idx int32, val history.Value) bool {
+	nc.ph = base.ph + promContrib(idx, val)
+	h := cfgHash(nc.mask, nc.sh, nc.ph)
+	q := cfgQuery{mask: nc.mask, st: nc.st, base: base.promises, delta: 1, idx: idx, val: val}
+	slot, found := sc.lookup(h, &q)
+	if !found {
+		nc.promises, nc.inArena = sc.withPromise(base.promises, idx, val), true
+		sc.record(slot, h, nc)
+	}
+	return found
+}
+
+// keepWithout emits c with its promise for idx dropped, unless that
+// configuration was already seen. The reduced promise set, too, is only
+// built when fresh.
+func (sc *linScratch) keepWithout(c *searchCfg, idx int32) {
+	nc := *c
+	if pv, ok := lookupPromise(c.promises, idx); ok {
+		nc.ph -= promContrib(idx, pv)
+		h := cfgHash(nc.mask, nc.sh, nc.ph)
+		q := cfgQuery{mask: c.mask, st: c.st, base: c.promises, delta: -1, idx: idx}
+		slot, found := sc.lookup(h, &q)
+		if found {
+			return
+		}
+		nc.promises = sc.withoutPromise(c.promises, idx)
+		nc.inArena = nc.promises != nil
+		sc.record(slot, h, &nc)
+	} else if sc.markOf(&nc) {
+		return
+	}
+	sc.next = append(sc.next, nc)
+}
+
+// withPromise returns proms extended with idx→val, sorted, in the arena.
+// proms may itself live in the arena: appends only write past its end,
+// and a reallocation leaves it on the old backing.
+func (sc *linScratch) withPromise(proms []promise, idx int32, val history.Value) []promise {
+	start := len(sc.arena)
+	i := 0
+	for i < len(proms) && proms[i].idx < idx {
+		i++
+	}
+	sc.arena = append(sc.arena, proms[:i]...)
+	sc.arena = append(sc.arena, promise{idx: idx, val: val})
+	sc.arena = append(sc.arena, proms[i:]...)
+	return sc.arena[start:len(sc.arena):len(sc.arena)]
+}
+
+// withoutPromise returns proms with idx removed, in the arena (nil when
+// empty).
+func (sc *linScratch) withoutPromise(proms []promise, idx int32) []promise {
+	if len(proms) <= 1 {
+		return nil
+	}
+	start := len(sc.arena)
+	for _, p := range proms {
+		if p.idx != idx {
+			sc.arena = append(sc.arena, p)
 		}
 	}
-	if len(sc.keys) < seenInline {
-		sc.keys = append(sc.keys, linCfg{mask: mask, st: st, promises: proms})
+	return sc.arena[start:len(sc.arena):len(sc.arena)]
+}
+
+// commit replaces dst's contents with the advance's output
+// configurations, copying the promise slices they hold in the arena into
+// fresh, thereafter immutable, backing (one allocation per commitChunk
+// promises); slices that came in with the source configurations are
+// already immutable and stay shared.
+// Consecutive outputs sharing an arena slice (every transition of one
+// linearization step) keep sharing the copy.
+func (sc *linScratch) commit(dst []linCfg) []linCfg {
+	n := 0
+	for i := range sc.next {
+		if sc.next[i].inArena {
+			n += len(sc.next[i].promises)
+		}
+	}
+	var buf, src, cp []promise
+	dst = dst[:0]
+	for _, c := range sc.next {
+		if c.inArena {
+			if len(src) != len(c.promises) || &src[0] != &c.promises[0] {
+				if cap(buf)-len(buf) < len(c.promises) {
+					buf = make([]promise, 0, max(min(n, commitChunk), len(c.promises)))
+				}
+				n -= len(c.promises)
+				start := len(buf)
+				buf = append(buf, c.promises...)
+				src, cp = c.promises, buf[start:len(buf):len(buf)]
+			}
+			c.promises = cp
+		}
+		dst = append(dst, c.linCfg)
+	}
+	return dst
+}
+
+// commitChunk bounds one copy-out allocation, in promises, so that a
+// large advance copies out in small-object allocations.
+const commitChunk = 1024
+
+// cfgQuery describes the configuration a seen-set lookup asks about:
+// (mask, st) with base's promises, plus {idx→val} when delta is 1 or
+// minus idx when delta is -1.
+type cfgQuery struct {
+	mask  uint64
+	st    State
+	base  []promise
+	delta int
+	idx   int32
+	val   history.Value
+}
+
+// matches reports whether stored configuration e is the queried one.
+// Specification states and responses must be ==-comparable (the State
+// contract, and closeOver already compares responses with !=).
+func (q *cfgQuery) matches(e *linCfg) bool {
+	if e.mask != q.mask || len(e.promises) != len(q.base)+q.delta || e.st != q.st {
 		return false
 	}
-	return sc.spillMark(cfgKeyOf(mask, st, proms))
+	switch q.delta {
+	case 0:
+		return promEq(e.promises, q.base)
+	case 1:
+		return promEqWith(e.promises, q.base, q.idx, q.val)
+	default:
+		return promEqWithout(e.promises, q.base, q.idx)
+	}
 }
 
-// markWith is markOf for (mask, st, proms+{idx→val}) — the extended
-// promise slice is only materialized when the configuration is fresh,
-// and is returned for the caller to attach (nil when already seen).
-func (sc *linScratch) markWith(mask uint64, st State, proms []promise, idx int32, val history.Value) ([]promise, bool) {
-	for i := range sc.keys {
-		k := &sc.keys[i]
-		if k.mask == mask && len(k.promises) == len(proms)+1 && k.st == st && promEqWith(k.promises, proms, idx, val) {
-			return nil, true
+// slotIndex is the hash index behind the seen set and the transition
+// memo: open addressing with linear probing over a power-of-two slot
+// table whose slots point into the owner's entry array (entry k has hash
+// hashes[k]). The owners probe it themselves, comparing their own
+// entries. Both only answer membership or cache pure results — the
+// closure emits configurations in its own DFS order — so neither the
+// hash seed nor the probe order can reach a result; hash collisions
+// only cost an exact comparison. Slots carry the generation that wrote
+// them, so reset is a counter bump instead of a clear, and the reused
+// table keeps its size across advances.
+type slotIndex struct {
+	slots  []seenSlot
+	hashes []uint64
+	gen    uint32
+}
+
+type seenSlot struct {
+	gen uint32 // slot is live iff gen equals the index's
+	idx int32  // entry index
+}
+
+// seenMinSlots is the initial slot-table size.
+const seenMinSlots = 64
+
+func (x *slotIndex) reset() {
+	x.hashes = x.hashes[:0]
+	x.gen++
+	if x.gen == 0 || x.slots == nil {
+		// First use, or the generation counter wrapped: stale slots could
+		// carry any generation, so clear them once.
+		if x.slots == nil {
+			x.slots = make([]seenSlot, seenMinSlots)
 		}
+		clear(x.slots)
+		x.gen = 1
 	}
-	np := insertPromise(proms, idx, val)
-	if len(sc.keys) < seenInline {
-		sc.keys = append(sc.keys, linCfg{mask: mask, st: st, promises: np})
-		return np, false
-	}
-	if sc.spillMark(cfgKeyOf(mask, st, np)) {
-		return nil, true
-	}
-	return np, false
 }
 
-// markWithout is markOf for (mask, st, proms−{idx}), with markWith's
-// materialize-only-when-fresh contract.
-func (sc *linScratch) markWithout(mask uint64, st State, proms []promise, idx int32) ([]promise, bool) {
-	for i := range sc.keys {
-		k := &sc.keys[i]
-		if k.mask == mask && len(k.promises) == len(proms)-1 && k.st == st && promEqWithout(k.promises, proms, idx) {
-			return nil, true
+// insert points free slot (found by a probe for hash h) at the entry the
+// owner just appended. The table doubles past half load, so probes stay
+// short and a free slot always exists.
+func (x *slotIndex) insert(slot int, h uint64) {
+	x.slots[slot] = seenSlot{gen: x.gen, idx: int32(len(x.hashes))}
+	x.hashes = append(x.hashes, h)
+	if 2*len(x.hashes) <= len(x.slots) {
+		return
+	}
+	x.slots = make([]seenSlot, 2*len(x.slots))
+	m := len(x.slots) - 1
+	for k, hk := range x.hashes {
+		i := int(hk) & m
+		for x.slots[i].gen == x.gen {
+			i = (i + 1) & m
 		}
+		x.slots[i] = seenSlot{gen: x.gen, idx: int32(k)}
 	}
-	np := removePromise(proms, idx)
-	if len(sc.keys) < seenInline {
-		sc.keys = append(sc.keys, linCfg{mask: mask, st: st, promises: np})
-		return np, false
-	}
-	if sc.spillMark(cfgKeyOf(mask, st, np)) {
-		return nil, true
-	}
-	return np, false
 }
 
-// spillMark is the over-capacity path: entries past seenInline go into
-// the hash map (array entries are never migrated; lookups scan the array
-// first, so the two stores are consistent).
-func (sc *linScratch) spillMark(k cfgKey) bool {
-	if sc.seen[k] {
-		return true
+// hashSeed keys the seen set's string hashing. It is random per process,
+// which is safe because the set answers membership only.
+var hashSeed = maphash.MakeSeed()
+
+// mix64 is a 64-bit finalizer (MurmurHash3's fmix64): every input bit
+// affects every output bit.
+func mix64(x uint64) uint64 {
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
+}
+
+// valHash hashes a specification state or response consistently with
+// ==: equal values hash equally. Types outside the switch share one
+// hash and are told apart by the exact comparison behind it.
+func valHash(v any) uint64 {
+	switch x := v.(type) {
+	case string:
+		return maphash.String(hashSeed, x)
+	case int:
+		return mix64(uint64(x))
+	case int64:
+		return mix64(uint64(x) ^ 0x5bd1e995)
+	case bool:
+		if x {
+			return 0x2545f4914f6cdd1d
+		}
+		return 0x9e3779b97f4a7c15
+	case nil:
+		return 0x94d049bb133111eb
 	}
-	if sc.seen == nil {
-		sc.seen = make(map[cfgKey]bool)
+	return 0xbf58476d1ce4e5b9
+}
+
+// promContrib is one promise's share of a promise-set hash. The set's
+// hash is the wrapping sum of its members' shares, so it does not depend
+// on order, and adding or removing a promise is one addition or
+// subtraction.
+func promContrib(idx int32, val history.Value) uint64 {
+	return mix64(uint64(uint32(idx))*0x9e3779b97f4a7c15 ^ valHash(val))
+}
+
+// promHash is the hash of a whole promise set.
+func promHash(proms []promise) uint64 {
+	var h uint64
+	for _, p := range proms {
+		h += promContrib(p.idx, p.val)
 	}
-	sc.seen[k] = true
-	sc.spill = true
-	return false
+	return h
+}
+
+// cfgHash combines a configuration's mask, state hash and promise-set
+// hash.
+func cfgHash(mask, stHash, ph uint64) uint64 {
+	return mix64(mix64(mask^stHash*0x9e3779b97f4a7c15) ^ ph)
 }
 
 // promEq reports a == b elementwise; both are sorted by idx and equal
@@ -226,9 +454,40 @@ func promEqWithout(stored, base []promise, idx int32) bool {
 	return i == len(stored)
 }
 
-var scratchPool = sync.Pool{New: func() any {
-	return &linScratch{}
-}}
+// idleScratch holds the scratch of finished advances. Unlike a
+// sync.Pool it is not emptied by garbage collection, so the closure's
+// tables grow once per concurrently running advance instead of again
+// after every collection, whose bursts of regrowth raise the peak heap.
+// A scratch grown past maxIdleCfgs seen configurations is left to the
+// collector rather than kept.
+var idleScratch struct {
+	sync.Mutex
+	list []*linScratch
+}
+
+// maxIdleCfgs bounds the seen-set capacity of a kept scratch.
+const maxIdleCfgs = 1 << 16
+
+func getScratch() *linScratch {
+	idleScratch.Lock()
+	defer idleScratch.Unlock()
+	n := len(idleScratch.list)
+	if n == 0 {
+		return &linScratch{}
+	}
+	sc := idleScratch.list[n-1]
+	idleScratch.list = idleScratch.list[:n-1]
+	return sc
+}
+
+func putScratch(sc *linScratch) {
+	if cap(sc.seenCfgs) > maxIdleCfgs {
+		return
+	}
+	idleScratch.Lock()
+	idleScratch.list = append(idleScratch.list, sc)
+	idleScratch.Unlock()
+}
 
 // monOp is one observed operation, immutable once appended.
 type monOp struct {
@@ -252,109 +511,18 @@ type linCfg struct {
 	promises []promise
 }
 
-// inlineProm is how many promises a cfgKey holds inline. Promise counts
-// are bounded by the concurrently pending operations, so with the small
-// process counts of bounded exploration the overflow path is cold. The
-// count is also sized to keep cfgKey within the runtime's 128-byte
-// inline map-key limit — a larger key would make every seen-set insert
-// allocate a copy (see TestCfgKeyStaysInline).
-const inlineProm = 3
-
-// cfgKey canonically identifies a configuration for deduplication. It is
-// a comparable value — no string rendering on the hot path; promises
-// beyond the inline capacity spill into a canonical overflow string.
-// Specification states and responses must be ==-comparable (the State
-// contract, and closeOver already compares responses with !=).
-type cfgKey struct {
-	mask uint64
-	st   State
-	n    uint8
-	prom [inlineProm]promise
-	ext  string
+// searchCfg is a configuration inside the closure search, with its
+// hashes cached: sh is valHash(st) and ph is promHash(promises).
+// inArena marks promises living in the scratch arena.
+type searchCfg struct {
+	linCfg
+	sh, ph  uint64
+	inArena bool
 }
 
-// extProm renders overflow promises (those past the inline capacity)
-// canonically; proms is already sorted by idx.
-func extProm(proms []promise) string {
-	var b strings.Builder
-	for _, p := range proms {
-		fmt.Fprintf(&b, "%d=%v;", p.idx, p.val)
-	}
-	return b.String()
-}
-
-// cfgKeyOf builds the key of (mask, st, proms) without allocating in the
-// inline case.
-func cfgKeyOf(mask uint64, st State, proms []promise) cfgKey {
-	k := cfgKey{mask: mask, st: st, n: uint8(len(proms))}
-	if len(proms) <= inlineProm {
-		copy(k.prom[:], proms)
-		return k
-	}
-	copy(k.prom[:], proms[:inlineProm])
-	k.ext = extProm(proms[inlineProm:])
-	return k
-}
-
-// cfgKeyWith builds the key the configuration (mask, st, proms+{idx→val})
-// would have, without materializing the extended promise slice in the
-// inline case — the slice is only allocated when the key turns out fresh.
-func cfgKeyWith(mask uint64, st State, proms []promise, idx int32, val history.Value) cfgKey {
-	if len(proms)+1 <= inlineProm {
-		k := cfgKey{mask: mask, st: st, n: uint8(len(proms) + 1)}
-		i := 0
-		for ; i < len(proms) && proms[i].idx < idx; i++ {
-			k.prom[i] = proms[i]
-		}
-		k.prom[i] = promise{idx: idx, val: val}
-		for ; i < len(proms); i++ {
-			k.prom[i+1] = proms[i]
-		}
-		return k
-	}
-	return cfgKeyOf(mask, st, insertPromise(proms, idx, val))
-}
-
-// cfgKeyWithout is cfgKeyWith's inverse: the key after removing idx.
-func cfgKeyWithout(mask uint64, st State, proms []promise, idx int32) cfgKey {
-	if len(proms)-1 <= inlineProm {
-		k := cfgKey{mask: mask, st: st, n: uint8(len(proms) - 1)}
-		i := 0
-		for _, p := range proms {
-			if p.idx != idx {
-				k.prom[i] = p
-				i++
-			}
-		}
-		return k
-	}
-	return cfgKeyOf(mask, st, removePromise(proms, idx))
-}
-
-// insertPromise returns proms extended with idx→val, sorted (copy;
-// promise slices are immutable once attached to a configuration).
-func insertPromise(proms []promise, idx int32, val history.Value) []promise {
-	out := make([]promise, 0, len(proms)+1)
-	i := 0
-	for ; i < len(proms) && proms[i].idx < idx; i++ {
-		out = append(out, proms[i])
-	}
-	out = append(out, promise{idx: idx, val: val})
-	return append(out, proms[i:]...)
-}
-
-// removePromise returns proms with idx removed (copy, nil when empty).
-func removePromise(proms []promise, idx int32) []promise {
-	if len(proms) <= 1 {
-		return nil
-	}
-	out := make([]promise, 0, len(proms)-1)
-	for _, p := range proms {
-		if p.idx != idx {
-			out = append(out, p)
-		}
-	}
-	return out
+// searchFrom starts the search at monitor configuration c.
+func searchFrom(c *linCfg) searchCfg {
+	return searchCfg{linCfg: *c, sh: valHash(c.st), ph: promHash(c.promises)}
 }
 
 // lookupPromise returns the promised response for idx, if any.
@@ -460,25 +628,22 @@ func (m *LinMonitor) Step(e history.Event) bool {
 // influences future transitions.
 func (m *LinMonitor) crashClose(idx int) {
 	bit := uint64(1) << uint(idx)
-	sc := scratchPool.Get().(*linScratch)
+	sc := getScratch()
 	sc.reset()
-	sc.next = sc.next[:0]
 	pendMask := (uint64(1)<<uint(len(m.ops)) - 1) &^ m.doneMask
 	for i := range m.configs {
-		c := &m.configs[i]
+		c := searchFrom(&m.configs[i])
 		if c.mask&bit != 0 {
 			// Speculatively linearized before the crash: keep, dropping the
 			// promise — the response it committed to will never arrive and
 			// nothing can observe it.
-			if np, dup := sc.markWithout(c.mask, c.st, c.promises, int32(idx)); !dup {
-				sc.next = append(sc.next, linCfg{mask: c.mask, st: c.st, promises: np})
-			}
+			sc.keepWithout(&c, int32(idx))
 			continue
 		}
-		if sc.markOf(c.mask, c.st, c.promises) {
+		if sc.markOf(&c) {
 			continue // already reached while closing an earlier source
 		}
-		sc.stack = append(sc.stack[:0], *c)
+		sc.stack = append(sc.stack[:0], c)
 		for len(sc.stack) > 0 {
 			cur := sc.stack[len(sc.stack)-1]
 			sc.stack = sc.stack[:len(sc.stack)-1]
@@ -488,40 +653,62 @@ func (m *LinMonitor) crashClose(idx int) {
 			// (the first discoverer of a shared configuration emitted it).
 			sc.next = append(sc.next, cur)
 			// Or it linearizes here, with any response.
-			for _, tr := range m.apply(sc, cur.st, &m.ops[idx]) {
-				if !sc.markOf(cur.mask|bit, tr.Next, cur.promises) {
-					sc.next = append(sc.next, linCfg{mask: cur.mask | bit, st: tr.Next, promises: cur.promises})
+			for _, tr := range m.apply(sc, &cur, idx) {
+				nc := searchCfg{linCfg: linCfg{mask: cur.mask | bit, st: tr.Next, promises: cur.promises}, sh: valHash(tr.Next), ph: cur.ph, inArena: cur.inArena}
+				if !sc.markOf(&nc) {
+					sc.next = append(sc.next, nc)
 				}
 			}
 			// Or another pending operation speculatively linearizes first.
-			for rest := pendMask &^ cur.mask &^ bit; rest != 0; rest &= rest - 1 {
-				j := bits.TrailingZeros64(rest)
-				jbit := uint64(1) << uint(j)
-				for _, tr := range m.apply(sc, cur.st, &m.ops[j]) {
-					np, dup := sc.markWith(cur.mask|jbit, tr.Next, cur.promises, int32(j), tr.Resp)
-					if dup {
-						continue
-					}
-					sc.stack = append(sc.stack, linCfg{mask: cur.mask | jbit, st: tr.Next, promises: np})
-				}
-			}
+			m.speculate(sc, &cur, pendMask&^cur.mask&^bit)
 		}
 	}
 	m.doneMask |= bit
-	m.configs = append(m.configs[:0], sc.next...)
-	scratchPool.Put(sc)
+	m.configs = sc.commit(m.configs)
+	putScratch(sc)
 }
 
-// apply enumerates spec transitions for op at st, through the spec's
-// append form into pooled scratch when available. The returned slice is
-// invalidated by the next apply call — callers finish iterating before
-// applying again.
-func (m *LinMonitor) apply(sc *linScratch, st State, op *monOp) []Transition {
-	if m.aspec != nil {
-		sc.trbuf = m.aspec.ApplyAppend(sc.trbuf[:0], st, op.proc, op.name, op.obj, op.arg)
-		return sc.trbuf
+// speculate pushes every fresh configuration reachable from cur by
+// linearizing one operation of rest (a mask of pending operations)
+// with its promised response.
+func (m *LinMonitor) speculate(sc *linScratch, cur *searchCfg, rest uint64) {
+	for ; rest != 0; rest &= rest - 1 {
+		j := bits.TrailingZeros64(rest)
+		jbit := uint64(1) << uint(j)
+		for _, tr := range m.apply(sc, cur, j) {
+			nc := searchCfg{linCfg: linCfg{mask: cur.mask | jbit, st: tr.Next}, sh: valHash(tr.Next)}
+			if !sc.markWith(&nc, cur, int32(j), tr.Resp) {
+				sc.stack = append(sc.stack, nc)
+			}
+		}
 	}
-	return m.spec.Apply(st, op.proc, op.name, op.obj, op.arg)
+}
+
+// apply returns the spec's transitions for operation j at c's state,
+// memoized for the advance. The returned slice is immutable: later
+// applies only append past it.
+func (m *LinMonitor) apply(sc *linScratch, c *searchCfg, j int) []Transition {
+	h := mix64(c.sh ^ uint64(j+1)*0x9e3779b97f4a7c15)
+	x := &sc.memo
+	msk := len(x.slots) - 1
+	i := int(h) & msk
+	for ; x.slots[i].gen == x.gen; i = (i + 1) & msk {
+		k := x.slots[i].idx
+		if e := &sc.memoKeys[k]; x.hashes[k] == h && e.op == int32(j) && e.st == c.st {
+			return sc.trs[e.start:e.end:e.end]
+		}
+	}
+	start := len(sc.trs)
+	op := &m.ops[j]
+	if m.aspec != nil {
+		sc.trs = m.aspec.ApplyAppend(sc.trs, c.st, op.proc, op.name, op.obj, op.arg)
+	} else {
+		sc.trs = append(sc.trs, m.spec.Apply(c.st, op.proc, op.name, op.obj, op.arg)...)
+	}
+	end := len(sc.trs)
+	sc.memoKeys = append(sc.memoKeys, memoKey{op: int32(j), start: int32(start), end: int32(end), st: c.st})
+	x.insert(i, h)
+	return sc.trs[start:end:end]
 }
 
 // advance consumes the response of operation idx: configurations that
@@ -536,26 +723,23 @@ func (m *LinMonitor) apply(sc *linScratch, st State, op *monOp) []Transition {
 // deduplication is sound and saves repeated work.
 func (m *LinMonitor) advance(idx int, val history.Value) {
 	bit := uint64(1) << uint(idx)
-	sc := scratchPool.Get().(*linScratch)
+	sc := getScratch()
 	sc.reset()
-	sc.next = sc.next[:0]
 	for i := range m.configs {
 		c := &m.configs[i]
 		if c.mask&bit != 0 {
 			// Speculatively linearized earlier: the promise must match.
-			pv, ok := lookupPromise(c.promises, int32(idx))
-			if !ok || pv != val {
-				continue
-			}
-			if np, dup := sc.markWithout(c.mask, c.st, c.promises, int32(idx)); !dup {
-				sc.next = append(sc.next, linCfg{mask: c.mask, st: c.st, promises: np})
+			if pv, ok := lookupPromise(c.promises, int32(idx)); ok && pv == val {
+				src := searchFrom(c)
+				sc.keepWithout(&src, int32(idx))
 			}
 			continue
 		}
-		m.closeOver(sc, c, idx, val)
+		src := searchFrom(c)
+		m.closeOver(sc, &src, idx, val)
 	}
-	m.configs = append(m.configs[:0], sc.next...)
-	scratchPool.Put(sc)
+	m.configs = sc.commit(m.configs)
+	putScratch(sc)
 }
 
 // closeOver explores every way to reach a configuration containing idx
@@ -563,8 +747,8 @@ func (m *LinMonitor) advance(idx int, val history.Value) {
 // Orders placing further pending operations after idx are not explored:
 // they remain reachable lazily from the produced configurations. Fresh
 // output configurations are appended to sc.next.
-func (m *LinMonitor) closeOver(sc *linScratch, c *linCfg, idx int, val history.Value) {
-	if sc.markOf(c.mask, c.st, c.promises) {
+func (m *LinMonitor) closeOver(sc *linScratch, c *searchCfg, idx int, val history.Value) {
+	if sc.markOf(c) {
 		return // an earlier source configuration already closed over c
 	}
 	bit := uint64(1) << uint(idx)
@@ -574,26 +758,17 @@ func (m *LinMonitor) closeOver(sc *linScratch, c *linCfg, idx int, val history.V
 		cur := sc.stack[len(sc.stack)-1]
 		sc.stack = sc.stack[:len(sc.stack)-1]
 		// Linearize idx now, closing this branch.
-		for _, tr := range m.apply(sc, cur.st, &m.ops[idx]) {
+		for _, tr := range m.apply(sc, &cur, idx) {
 			if tr.Resp != val {
 				continue
 			}
-			if !sc.markOf(cur.mask|bit, tr.Next, cur.promises) {
-				sc.next = append(sc.next, linCfg{mask: cur.mask | bit, st: tr.Next, promises: cur.promises})
+			nc := searchCfg{linCfg: linCfg{mask: cur.mask | bit, st: tr.Next, promises: cur.promises}, sh: valHash(tr.Next), ph: cur.ph, inArena: cur.inArena}
+			if !sc.markOf(&nc) {
+				sc.next = append(sc.next, nc)
 			}
 		}
 		// Or speculatively linearize another pending operation first.
-		for rest := pendMask &^ cur.mask &^ bit; rest != 0; rest &= rest - 1 {
-			j := bits.TrailingZeros64(rest)
-			jbit := uint64(1) << uint(j)
-			for _, tr := range m.apply(sc, cur.st, &m.ops[j]) {
-				np, dup := sc.markWith(cur.mask|jbit, tr.Next, cur.promises, int32(j), tr.Resp)
-				if dup {
-					continue
-				}
-				sc.stack = append(sc.stack, linCfg{mask: cur.mask | jbit, st: tr.Next, promises: np})
-			}
-		}
+		m.speculate(sc, &cur, pendMask&^cur.mask&^bit)
 	}
 }
 

@@ -2,53 +2,106 @@ package safety
 
 import (
 	"testing"
-	"unsafe"
 
 	"repro/internal/history"
 )
 
-// TestCfgKeyStaysInline pins cfgKey under the Go runtime's 128-byte
-// threshold for inline map keys. Beyond it, maps store keys indirectly
-// and every seen-set insert in the closure search allocates a key copy
-// — the monitor's dominant cost in exploration before inlineProm was
-// sized to fit.
-func TestCfgKeyStaysInline(t *testing.T) {
-	if sz := unsafe.Sizeof(cfgKey{}); sz > 128 {
-		t.Fatalf("cfgKey is %d bytes, over the 128-byte inline map-key limit; shrink inlineProm", sz)
+// buildProms returns the sorted promise set of the given idx→val pairs,
+// built one insertion at a time through the arena.
+func buildProms(sc *linScratch, pairs map[int32]history.Value) []promise {
+	var proms []promise
+	for idx, val := range pairs {
+		proms = sc.withPromise(proms, idx, val)
+	}
+	return proms
+}
+
+// TestPromiseHashWithWithout pins the seen set's hashing contract: the
+// promise-set hash does not depend on insertion order, and the hash
+// markWith and markWithout derive from the base set's hash equals the
+// hash of the set they would build.
+func TestPromiseHashWithWithout(t *testing.T) {
+	sc := &linScratch{}
+	pairs := map[int32]history.Value{0: "a", 2: 7, 4: nil, 6: true, 9: "ok"}
+	base := buildProms(sc, pairs)
+	for i := 0; i < 5; i++ {
+		// Map iteration order differs between builds.
+		if got := buildProms(sc, pairs); promHash(got) != promHash(base) || !promEq(got, base) {
+			t.Fatalf("rebuilt promise set %v (hash %x) differs from %v (hash %x)", got, promHash(got), base, promHash(base))
+		}
+	}
+	for _, add := range []promise{{idx: 1, val: "x"}, {idx: 5, val: 3}, {idx: 12, val: nil}} {
+		built := sc.withPromise(base, add.idx, add.val)
+		if want, got := promHash(built), promHash(base)+promContrib(add.idx, add.val); got != want {
+			t.Errorf("with %v: derived hash %x, built set's hash %x", add, got, want)
+		}
+		if !promEqWith(built, base, add.idx, add.val) {
+			t.Errorf("with %v: promEqWith rejects the built set %v", add, built)
+		}
+	}
+	for _, p := range base {
+		built := sc.withoutPromise(base, p.idx)
+		if want, got := promHash(built), promHash(base)-promContrib(p.idx, p.val); got != want {
+			t.Errorf("without %d: derived hash %x, built set's hash %x", p.idx, got, want)
+		}
+		if !promEqWithout(built, base, p.idx) {
+			t.Errorf("without %d: promEqWithout rejects the built set %v", p.idx, built)
+		}
 	}
 }
 
-// TestCfgKeyPromiseOverflow exercises the ext overflow path: monitors
-// whose configurations carry more than inlineProm promises must still
-// deduplicate correctly (same promises → same key, regardless of
-// insertion order) and distinguish differing promise sets.
-func TestCfgKeyPromiseOverflow(t *testing.T) {
-	var proms []promise
-	for i := int32(0); i < inlineProm+2; i++ {
-		proms = insertPromise(proms, i*2, int(i))
+// TestSeenSetForcedCollisions records every configuration under one
+// hash, so each lookup walks the whole collision chain: membership must
+// still be exact for plain, extended and reduced promise sets, and the
+// table must survive growth past its initial size.
+func TestSeenSetForcedCollisions(t *testing.T) {
+	const h = 42
+	sc := &linScratch{}
+	sc.reset()
+	mark := func(q cfgQuery, c linCfg) bool {
+		slot, found := sc.lookup(h, &q)
+		if !found {
+			sc.record(slot, h, &searchCfg{linCfg: c})
+		}
+		return found
 	}
-	// Insert a middle promise last: keys are order-independent.
-	a := insertPromise(proms, 1, "x")
-	b := insertPromise(insertPromise(proms[:2:2], 1, "x"), 4, 1)
-	b = append(b, proms[2:]...)
-	// Rebuild b properly sorted via insertPromise from scratch.
-	var c []promise
-	for _, p := range a {
-		c = insertPromise(c, p.idx, p.val)
+	var cfgs []linCfg
+	for mask := uint64(0); mask < 20; mask++ {
+		for _, st := range []State{"", "1:a", 0} {
+			proms := sc.withPromise(nil, int32(mask%3), mask%2 == 0)
+			cfgs = append(cfgs, linCfg{mask: mask, st: st, promises: proms})
+		}
 	}
-	ka, kc := cfgKeyOf(7, "st", a), cfgKeyOf(7, "st", c)
-	if ka != kc {
-		t.Fatalf("same promise sets produced different keys:\n%#v\n%#v", ka, kc)
+	for i, c := range cfgs {
+		if mark(cfgQuery{mask: c.mask, st: c.st, base: c.promises}, c) {
+			t.Fatalf("fresh configuration %d reported as seen", i)
+		}
 	}
-	kd := cfgKeyOf(7, "st", insertPromise(proms, 1, "y"))
-	if ka == kd {
-		t.Fatal("different promise values collided in the overflow encoding")
+	if len(sc.seen.slots) <= seenMinSlots {
+		t.Fatalf("%d entries did not grow the %d-slot table", len(cfgs), seenMinSlots)
 	}
-	if got := cfgKeyWith(7, "st", proms, 1, "x"); got != ka {
-		t.Fatalf("cfgKeyWith mismatch with materialized key:\n%#v\n%#v", got, ka)
+	for i, c := range cfgs {
+		if !mark(cfgQuery{mask: c.mask, st: c.st, base: c.promises}, c) {
+			t.Fatalf("configuration %d not found on a second lookup", i)
+		}
+		// The same configuration, asked for as an extension of its
+		// promise-free base and as a reduction of a larger set.
+		p := c.promises[0]
+		if !mark(cfgQuery{mask: c.mask, st: c.st, delta: 1, idx: p.idx, val: p.val}, c) {
+			t.Fatalf("configuration %d not found as base+{%d}", i, p.idx)
+		}
+		bigger := sc.withPromise(c.promises, 30, "z")
+		if !mark(cfgQuery{mask: c.mask, st: c.st, base: bigger, delta: -1, idx: 30}, c) {
+			t.Fatalf("configuration %d not found as bigger−{30}", i)
+		}
+		// A different promised value is a different configuration.
+		if mark(cfgQuery{mask: c.mask, st: c.st, delta: 1, idx: p.idx, val: "other"}, c) {
+			t.Fatalf("configuration %d matched a different promise value", i)
+		}
 	}
-	if got := cfgKeyWithout(7, "st", a, 1); got != cfgKeyOf(7, "st", proms) {
-		t.Fatalf("cfgKeyWithout mismatch with materialized key: %#v", got)
+	sc.reset()
+	if mark(cfgQuery{mask: cfgs[0].mask, st: cfgs[0].st, base: cfgs[0].promises}, cfgs[0]) {
+		t.Fatal("reset left an entry behind")
 	}
 }
 

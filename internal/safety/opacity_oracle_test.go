@@ -10,33 +10,35 @@ import (
 
 // bruteSerializable is a naive reference implementation of the
 // serialization search: plain recursive permutation enumeration with role
-// choices, no memoization. Used as an oracle for the memoized DFS.
-func bruteSerializable(recs []*txRecord, strict bool) bool {
+// choices, no memoization, and the committed store as a map keyed by
+// variable name. Used as an oracle for the memoized, interned DFS.
+func bruteSerializable(recs []txRecord, strict bool) bool {
 	n := len(recs)
 	placedMask := newBitset(n)
-	var rec func(placed int, st varState) bool
-	rec = func(placed int, st varState) bool {
+	var rec func(placed int, st map[string]history.Value) bool
+	rec = func(placed int, st map[string]history.Value) bool {
 		if placed == n {
 			return true
 		}
-		for i, r := range recs {
+		for i := range recs {
+			r := &recs[i]
 			if placedMask.test(i) || !placedMask.containsAll(r.precede) {
 				continue
 			}
-			for _, ro := range r.roles {
+			for _, ro := range r.roles() {
 				switch ro {
 				case roleCommitted:
-					if !legal(r, st) {
+					if !bruteLegal(r, st) {
 						continue
 					}
 					placedMask.setBit(i)
-					ok := rec(placed+1, applyWrites(r, st))
+					ok := rec(placed+1, bruteApplyWrites(r, st))
 					placedMask.clearBit(i)
 					if ok {
 						return true
 					}
 				case roleAborted:
-					if !strict && !legal(r, st) {
+					if !strict && !bruteLegal(r, st) {
 						continue
 					}
 					placedMask.setBit(i)
@@ -50,7 +52,43 @@ func bruteSerializable(recs []*txRecord, strict bool) bool {
 		}
 		return false
 	}
-	return rec(0, varState{})
+	return rec(0, map[string]history.Value{})
+}
+
+// bruteLegal reports whether r's reads see its own earlier writes, else
+// the store st, else the initial value.
+func bruteLegal(r *txRecord, st map[string]history.Value) bool {
+	local := map[string]history.Value{}
+	for _, step := range r.steps {
+		if !step.isRead {
+			local[step.v] = step.val
+			continue
+		}
+		want, ok := local[step.v]
+		if !ok {
+			if want, ok = st[step.v]; !ok {
+				want = TMInitial
+			}
+		}
+		if step.val != want {
+			return false
+		}
+	}
+	return true
+}
+
+// bruteApplyWrites returns a copy of st with r's writes applied.
+func bruteApplyWrites(r *txRecord, st map[string]history.Value) map[string]history.Value {
+	out := make(map[string]history.Value, len(st))
+	for k, v := range st {
+		out[k] = v
+	}
+	for _, step := range r.steps {
+		if !step.isRead {
+			out[step.v] = step.val
+		}
+	}
+	return out
 }
 
 // randomTMHistory generates a small well-formed TM history with arbitrary

@@ -35,30 +35,32 @@ type sInfo struct {
 	tryCInv  int // history index of the tryC invocation, -1 if none
 }
 
-func timestampRuleHolds(h history.History) bool {
-	txs := history.Transactions(h)
-	// Group by per-process sequence number t; within a group there is at
-	// most one transaction per process.
-	groups := make(map[int][]sInfo)
-	for _, tx := range txs {
-		info := sInfo{tx: tx, startRes: -1, tryCInv: -1}
-		for _, op := range tx.Ops {
-			switch op.Name {
-			case history.TMStart:
-				if op.Done {
-					info.startRes = op.ResIndex
-				}
-			case history.TMTryC:
-				info.tryCInv = op.InvIndex
+func timestampRuleHolds(h history.History) bool { return ruleHolds(txRecords(h)) }
+
+// ruleHolds checks the timestamp-abort rule over transaction records.
+// Transactions are grouped by per-process sequence number t; within a
+// group there is at most one transaction per process.
+func ruleHolds(recs []txRecord) bool {
+	var members []int
+	for i := range recs {
+		seq := recs[i].seq
+		dup := false
+		for j := 0; j < i; j++ {
+			if recs[j].seq == seq {
+				dup = true // group already checked at its first member
+				break
 			}
 		}
-		groups[tx.Seq] = append(groups[tx.Seq], info)
-	}
-	for _, members := range groups {
-		if len(members) < 3 {
+		if dup {
 			continue
 		}
-		if !sGroupsOK(members) {
+		members = members[:0]
+		for j := i; j < len(recs); j++ {
+			if recs[j].seq == seq {
+				members = append(members, j)
+			}
+		}
+		if len(members) >= 3 && !sGroupsOK(recs, members) {
 			return false
 		}
 	}
@@ -67,13 +69,13 @@ func timestampRuleHolds(h history.History) bool {
 
 // sGroupsOK enumerates subsets of size >= 3 of one same-t group and checks
 // the abort rule on each qualifying subset.
-func sGroupsOK(members []sInfo) bool {
+func sGroupsOK(recs []txRecord, members []int) bool {
 	n := len(members)
 	for mask := uint(0); mask < 1<<uint(n); mask++ {
-		var sel []sInfo
+		var sel []*txRecord
 		for i := 0; i < n; i++ {
 			if mask&(1<<uint(i)) != 0 {
-				sel = append(sel, members[i])
+				sel = append(sel, &recs[members[i]])
 			}
 		}
 		if len(sel) < 3 {
@@ -83,7 +85,7 @@ func sGroupsOK(members []sInfo) bool {
 			continue
 		}
 		for _, in := range sel {
-			if in.tx.Status == history.TxCommitted {
+			if in.status == history.TxCommitted {
 				return false
 			}
 		}
@@ -91,13 +93,22 @@ func sGroupsOK(members []sInfo) bool {
 	return true
 }
 
+// concurrent reports whether two transactions overlap in real time:
+// neither completes before the other starts (history.Concurrent).
+func concurrent(a, b *txRecord) bool {
+	if a.completed() && a.last < b.first {
+		return false
+	}
+	return !(b.completed() && b.last < a.first)
+}
+
 // subsetQualifies reports whether the Section 5.3 conditions hold for the
 // subset: pairwise concurrent, and each member invokes tryC after at least
 // two other members received their start response.
-func subsetQualifies(sel []sInfo) bool {
+func subsetQualifies(sel []*txRecord) bool {
 	for i := range sel {
 		for j := i + 1; j < len(sel); j++ {
-			if !history.Concurrent(sel[i].tx, sel[j].tx) {
+			if !concurrent(sel[i], sel[j]) {
 				return false
 			}
 		}

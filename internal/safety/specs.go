@@ -2,20 +2,70 @@ package safety
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/history"
 )
 
 // Sequential specifications of classic high-level objects (the paper's
 // Section 1 context "high-level object implementations from registers
-// [19]"), used by the linearizability checker. States are encoded as
-// comparable strings via %v formatting, so dequeue/pop responses come back
-// as the formatted values: use string payloads (or any values whose %v
-// form is the value itself) when checking histories against these specs.
+// [19]"), used by the linearizability checker.
+//
+// Queue and stack states are comparable strings: the sequence of
+// payloads, each written as its decimal byte length, a colon, and the
+// payload itself ("1:a3:b,c" holds "a" then "b,c"). The encoding is
+// injective, so payloads may contain any bytes, commas included, and be
+// empty. Payloads are strings; a non-string argument is stored as its
+// %v rendering, so dequeue/pop responses come back as that string.
 
 // EmptyResp is the response of a dequeue/pop on an empty container.
 const EmptyResp = "empty"
+
+// payload renders an enqueued or pushed argument as the string stored
+// in the state and returned on dequeue/pop.
+func payload(arg history.Value) string {
+	switch x := arg.(type) {
+	case string:
+		return x
+	case int:
+		return strconv.Itoa(x)
+	}
+	return fmt.Sprint(arg)
+}
+
+// splitFirst decodes the first payload of a non-empty encoded state and
+// returns it with the encoding of the rest; ok is false for a string the
+// encoding never produces.
+func splitFirst(enc string) (head, rest string, ok bool) {
+	n, i := 0, 0
+	for ; i < len(enc) && enc[i] != ':'; i++ {
+		c := enc[i]
+		if c < '0' || c > '9' || n > len(enc) {
+			return "", "", false
+		}
+		n = n*10 + int(c-'0')
+	}
+	if i == 0 || i == len(enc) {
+		return "", "", false
+	}
+	i++ // the colon
+	if n > len(enc)-i {
+		return "", "", false
+	}
+	return enc[i : i+n], enc[i+n:], true
+}
+
+// takeFirst appends the dequeue/pop transition of encoded state enc.
+func takeFirst(dst []Transition, enc string) []Transition {
+	if enc == "" {
+		return append(dst, Transition{Next: "", Resp: EmptyResp})
+	}
+	head, rest, ok := splitFirst(enc)
+	if !ok {
+		return dst
+	}
+	return append(dst, Transition{Next: rest, Resp: head})
+}
 
 // QueueSpec is a FIFO queue with operations "enq" (argument, responds OK)
 // and "deq" (responds the head value or EmptyResp).
@@ -40,21 +90,10 @@ func (QueueSpec) ApplyAppend(dst []Transition, st State, proc int, op, obj strin
 	}
 	switch op {
 	case "enq":
-		next := fmt.Sprintf("%v", arg)
-		if enc != "" {
-			next = enc + "," + next
-		}
-		return append(dst, Transition{Next: next, Resp: history.OK})
+		p := payload(arg)
+		return append(dst, Transition{Next: enc + strconv.Itoa(len(p)) + ":" + p, Resp: history.OK})
 	case "deq":
-		if enc == "" {
-			return append(dst, Transition{Next: "", Resp: EmptyResp})
-		}
-		parts := strings.SplitN(enc, ",", 2)
-		rest := ""
-		if len(parts) == 2 {
-			rest = parts[1]
-		}
-		return append(dst, Transition{Next: rest, Resp: parts[0]})
+		return takeFirst(dst, enc)
 	default:
 		return dst
 	}
@@ -82,21 +121,10 @@ func (StackSpec) ApplyAppend(dst []Transition, st State, proc int, op, obj strin
 	}
 	switch op {
 	case "push":
-		next := fmt.Sprintf("%v", arg)
-		if enc != "" {
-			next = next + "," + enc
-		}
-		return append(dst, Transition{Next: next, Resp: history.OK})
+		p := payload(arg)
+		return append(dst, Transition{Next: strconv.Itoa(len(p)) + ":" + p + enc, Resp: history.OK})
 	case "pop":
-		if enc == "" {
-			return append(dst, Transition{Next: "", Resp: EmptyResp})
-		}
-		parts := strings.SplitN(enc, ",", 2)
-		rest := ""
-		if len(parts) == 2 {
-			rest = parts[1]
-		}
-		return append(dst, Transition{Next: rest, Resp: parts[0]})
+		return takeFirst(dst, enc)
 	default:
 		return dst
 	}

@@ -149,3 +149,88 @@ func sequentialHistory(r *rand.Rand, spec SeqSpec, ops []string, n int) history.
 	}
 	return h
 }
+
+// TestQueueStackPayloadEncoding pins the length-delimited state
+// encoding: payloads containing the old separator, empty payloads,
+// multi-byte text and payloads that look like the encoding itself must
+// round-trip through every checker — batch, strict batch, and the plain
+// and strict monitors.
+func TestQueueStackPayloadEncoding(t *testing.T) {
+	payloads := []string{"a,b", "", ",", "é,ü", "日本", "1:a", "12:", ":"}
+	type checker struct {
+		name  string
+		check func(SeqSpec, history.History) bool
+	}
+	monitor := func(spawn func(SeqSpec) *LinMonitor) func(SeqSpec, history.History) bool {
+		return func(spec SeqSpec, h history.History) bool {
+			m := spawn(spec)
+			for _, e := range h {
+				m.Step(e)
+			}
+			return m.OK()
+		}
+	}
+	checkers := []checker{
+		{"batch", Linearizable},
+		{"strict batch", StrictLinearizable},
+		{"monitor", monitor(NewLinMonitor)},
+		{"strict monitor", monitor(NewStrictLinMonitor)},
+	}
+	for _, c := range []struct {
+		spec     SeqSpec
+		put, get string
+		lifo     bool
+	}{{QueueSpec{}, "enq", "deq", false}, {StackSpec{}, "push", "pop", true}} {
+		for _, p := range payloads {
+			// One process: put p, take it back, then find the container
+			// empty.
+			single := history.History{
+				inv(1, c.put, p), res(1, c.put, history.OK),
+				inv(1, c.get, nil), res(1, c.get, p),
+				inv(1, c.get, nil), res(1, c.get, EmptyResp),
+			}
+			// Two payloads: the second is the "x" sentinel, taken back in
+			// the container's order.
+			first, second := p, "x"
+			if c.lifo {
+				first, second = second, first
+			}
+			pair := history.History{
+				inv(1, c.put, p), res(1, c.put, history.OK),
+				inv(1, c.put, "x"), res(1, c.put, history.OK),
+				inv(2, c.get, nil), res(2, c.get, first),
+				inv(2, c.get, nil), res(2, c.get, second),
+			}
+			// Taking back a payload split at the old separator must fail.
+			split := history.History{
+				inv(1, c.put, p+",z"), res(1, c.put, history.OK),
+				inv(2, c.get, nil), res(2, c.get, p),
+			}
+			for _, ck := range checkers {
+				if !ck.check(c.spec, single) {
+					t.Errorf("%s %s: rejects single-process history %s", c.spec.Name(), ck.name, single)
+				}
+				if !ck.check(c.spec, pair) {
+					t.Errorf("%s %s: rejects %s", c.spec.Name(), ck.name, pair)
+				}
+				if ck.check(c.spec, split) {
+					t.Errorf("%s %s: accepts %s", c.spec.Name(), ck.name, split)
+				}
+			}
+		}
+	}
+}
+
+// TestQueueSpecNonStringPayloads pins the rendering of non-string
+// arguments: they are stored, and taken back, as their %v string.
+func TestQueueSpecNonStringPayloads(t *testing.T) {
+	h := history.History{
+		inv(1, "enq", 7), res(1, "enq", history.OK),
+		inv(1, "enq", true), res(1, "enq", history.OK),
+		inv(2, "deq", nil), res(2, "deq", "7"),
+		inv(2, "deq", nil), res(2, "deq", "true"),
+	}
+	if !Linearizable(QueueSpec{}, h) {
+		t.Errorf("queue rejects %s", h)
+	}
+}

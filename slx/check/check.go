@@ -97,8 +97,10 @@ type (
 	RegisterSpec = safety.RegisterSpec
 	// CASSpec is the compare-and-swap object specification.
 	CASSpec = safety.CASSpec
-	// QueueSpec is the FIFO queue specification ("enq"/"deq" with
-	// string-encoded payloads; see safety.QueueSpec).
+	// QueueSpec is the FIFO queue specification ("enq"/"deq"). Payloads
+	// are strings of any content, commas and the empty string included;
+	// a non-string argument is dequeued as its %v string (see
+	// safety.QueueSpec).
 	QueueSpec = safety.QueueSpec
 	// CASArg is the argument struct of a cas invocation.
 	CASArg = safety.CASArg
