@@ -41,25 +41,6 @@ type benchRegister struct {
 	frames map[run.Invocation]*benchRegisterFrame
 }
 
-func (r *benchRegister) Apply(p *run.Proc, inv run.Invocation) hist.Value {
-	var out hist.Value
-	switch inv.Op {
-	case "read":
-		p.Exec("read", func() {
-			p.Access("r", false)
-			out = r.v
-			p.Observe(out)
-		})
-	case "write":
-		p.Exec("write", func() {
-			out = hist.OK
-			p.Access("r", true)
-			r.v = inv.Arg
-		})
-	}
-	return out
-}
-
 // benchRegisterFrame is one in-flight operation: a single access window.
 // The frame is immutable, so Fork returns the receiver.
 type benchRegisterFrame struct {
@@ -67,7 +48,7 @@ type benchRegisterFrame struct {
 	inv run.Invocation
 }
 
-// Begin implements run.Stepped.
+// Begin implements run.Object.
 func (r *benchRegister) Begin(p *run.Proc, inv run.Invocation) (run.Frame, hist.Value, run.StepStatus) {
 	switch inv.Op {
 	case "read", "write":

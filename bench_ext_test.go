@@ -192,20 +192,43 @@ func BenchmarkQueueThroughput(b *testing.B) {
 	}
 }
 
+// swObject drives a software snapshot through the simulator: "update"
+// writes the caller's own component, "scan" returns the encoded vector.
+type swObject struct{ s *snapshot.SW }
+
+func (o *swObject) Begin(p *sim.Proc, inv sim.Invocation) (sim.Frame, history.Value, sim.StepStatus) {
+	if inv.Op == "scan" {
+		return &swFrame{sub: o.s.BeginScan(), scan: true}, nil, sim.StepPaused
+	}
+	return &swFrame{sub: o.s.BeginUpdate(p.ID()-1, inv.Arg)}, nil, sim.StepPaused
+}
+
+// swFrame runs one snapshot frame and turns its result into a response.
+type swFrame struct {
+	sub  sim.Frame
+	scan bool
+}
+
+func (f *swFrame) Step(p *sim.Proc) (history.Value, sim.StepStatus) {
+	v, st := f.sub.Step(p)
+	switch {
+	case st != sim.StepDone:
+		return nil, st
+	case f.scan:
+		return safety.EncodeVector(v.([]history.Value)), sim.StepDone
+	}
+	return history.OK, sim.StepDone
+}
+
+func (f *swFrame) Fork() sim.Frame { return &swFrame{sub: f.sub.Fork(), scan: f.scan} }
+
 // Software snapshot: scan cost (steps) as interference grows.
 func BenchmarkSoftwareSnapshotScanSteps(b *testing.B) {
 	for _, n := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			steps := 0
 			for i := 0; i < b.N; i++ {
-				sw := snapshot.New("R", n, 0)
-				obj := sim.ObjectFunc(func(p *sim.Proc, inv sim.Invocation) history.Value {
-					if inv.Op == "scan" {
-						return safety.EncodeVector(sw.Scan(p))
-					}
-					sw.Update(p, p.ID()-1, inv.Arg)
-					return history.OK
-				})
+				obj := &swObject{s: snapshot.New("R", n, 0)}
 				script := map[int][]sim.Invocation{1: {{Op: "scan"}}}
 				for p := 2; p <= n; p++ {
 					script[p] = []sim.Invocation{{Op: "update", Arg: p}, {Op: "update", Arg: p * 10}}

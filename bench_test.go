@@ -353,7 +353,7 @@ func BenchmarkExhaustiveExplore(b *testing.B) {
 func BenchmarkBaseObjectStep(b *testing.B) {
 	reg := base.NewRegister("r", 0)
 	obj := sim.ObjectFunc(func(p *sim.Proc, inv sim.Invocation) history.Value {
-		return reg.Read(p)
+		return reg.ReadW(p)
 	})
 	res := sim.Run(sim.Config{
 		Procs:     1,

@@ -67,38 +67,6 @@ func (q *dqueue) deq(p *run.Proc) hist.Value {
 	return out
 }
 
-func (q *dqueue) Apply(p *run.Proc, inv run.Invocation) hist.Value {
-	var out hist.Value
-	switch inv.Op {
-	case "enq":
-		id := p.ID()
-		p.Exec("log", func() {
-			p.Access(logName(id), true)
-			q.logVol[id] = &dqRec{arg: inv.Arg}
-		})
-		p.Exec("log-flush", func() {
-			p.Access(logName(id), true)
-			q.logDur[id] = q.logVol[id]
-		})
-		p.Exec("apply", func() {
-			p.Access("q", true)
-			q.items = append(q.items, inv.Arg)
-		})
-		p.Exec("log-clear", func() {
-			p.Access(logName(id), true)
-			q.logVol[id] = nil
-		})
-		p.Exec("clear-flush", func() {
-			p.Access(logName(id), true)
-			q.logDur[id] = nil
-			out = hist.OK
-		})
-	case "deq":
-		p.Exec("deq", func() { out = q.deq(p) })
-	}
-	return out
-}
-
 // dqFrame is one in-flight operation in continuation form. pc (enq): 0 =
 // write log, 1 = flush log, 2 = apply, 3 = clear log, 4 = flush the
 // clear; deq is a single window.
@@ -108,7 +76,7 @@ type dqFrame struct {
 	pc  int
 }
 
-// Begin implements run.Stepped.
+// Begin implements run.Object.
 func (q *dqueue) Begin(p *run.Proc, inv run.Invocation) (run.Frame, hist.Value, run.StepStatus) {
 	switch inv.Op {
 	case "enq", "deq":

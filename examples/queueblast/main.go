@@ -37,37 +37,6 @@ const capacity = 3
 //slx:norecover the blast scenario is crash-free; all state is modeled durable
 type blastQueue struct{ items []hist.Value }
 
-func (q *blastQueue) Apply(p *run.Proc, inv run.Invocation) hist.Value {
-	var out hist.Value
-	switch inv.Op {
-	case "enq":
-		p.Exec("reserve", func() {
-			p.Access("q", true)
-		})
-		p.Exec("publish", func() {
-			out = hist.OK
-			p.Access("q", true)
-			q.items = append(q.items, inv.Arg)
-			if len(q.items) > capacity {
-				// The seeded bug: silently evict the oldest element.
-				q.items = q.items[1:]
-			}
-		})
-	case "deq":
-		p.Exec("deq", func() {
-			p.Access("q", true)
-			if len(q.items) == 0 {
-				out = "empty"
-			} else {
-				out = q.items[0]
-				q.items = q.items[1:]
-			}
-			p.Observe(out)
-		})
-	}
-	return out
-}
-
 // blastFrame is one in-flight operation in continuation form:
 // reserve+publish for enq, one window for deq.
 type blastFrame struct {
@@ -76,7 +45,7 @@ type blastFrame struct {
 	pc  int
 }
 
-// Begin implements run.Stepped.
+// Begin implements run.Object.
 func (q *blastQueue) Begin(p *run.Proc, inv run.Invocation) (run.Frame, hist.Value, run.StepStatus) {
 	switch inv.Op {
 	case "enq", "deq":

@@ -4,20 +4,12 @@
 // primitives "usually provided by the hardware" from which higher-level
 // shared objects (consensus, transactional memory) are implemented.
 //
-// Every operation on a base object is exactly one atomic step of the
-// executing process, expressed in two equivalent forms:
-//
-//   - The blocking form (Read, Write, ...) takes a Stepper: the
-//     operation obtains a step grant from the scheduler (blocking
-//     inside Stepper.Exec) and performs its effect atomically within
-//     that grant. sim.Run executes objects this way, one goroutine per
-//     process.
-//
-//   - The window form (ReadW, WriteW, ...) takes an Accessor and
-//     performs the effect immediately: the caller — a continuation
-//     state machine's Begin/Step body (see sim.Stepped) — already runs
-//     inside a granted step window, so nothing blocks and no goroutine
-//     exists.
+// Every operation on a base object (ReadW, WriteW, ...) is exactly one
+// atomic step of the executing process. It takes an Accessor and
+// performs its effect immediately: the caller — a continuation frame's
+// Step body (see sim.Frame) — already runs inside the window the
+// scheduler granted for that step, and the operation declares its
+// footprint and the values it read through the Accessor.
 //
 // The simulation runtime serializes all grants, so base-object state
 // needs no locking.
@@ -27,16 +19,6 @@ import "repro/internal/history"
 
 // Value is the datum stored in base objects.
 type Value = history.Value
-
-// Stepper grants atomic steps. Exec blocks until the scheduler schedules
-// the calling process, then runs op as a single atomic step. desc is a
-// human-readable step description used for tracing.
-//
-// Exec panics with a runtime-internal sentinel if the process has been
-// crashed or the run has ended; algorithm code must not recover it.
-type Stepper interface {
-	Exec(desc string, op func())
-}
 
 // Accessor is the per-step access context of a granted window: it
 // declares the step's footprint and folds observed values into the
@@ -50,41 +32,6 @@ type Accessor interface {
 	// Observe folds a value the step read from shared state into the
 	// process's local-state fingerprint.
 	Observe(v Value)
-}
-
-// accessDeclarer is the optional footprint hook of the simulation
-// runtime (sim.Proc implements it): a stepper that records, per granted
-// step, which base object was accessed and whether it was written.
-// Exploration uses the recorded access log for partial-order reduction.
-type accessDeclarer interface {
-	Access(obj string, write bool)
-}
-
-// declare reports the footprint of the step currently executing through
-// s, when the stepper tracks footprints. Every base-object operation
-// calls it from within its atomic step.
-func declare(s Stepper, obj string, write bool) {
-	if d, ok := s.(accessDeclarer); ok {
-		d.Access(obj, write)
-	}
-}
-
-// valueObserver is the optional local-state hook of the simulation
-// runtime (sim.Proc implements it): a stepper that folds every value a
-// step reads from shared state into the executing process's state
-// fingerprint. Exploration's state cache needs it — a process's future
-// behavior mid-operation depends on what it has read so far.
-type valueObserver interface {
-	Observe(v Value)
-}
-
-// observe reports a value the current step read, when the stepper
-// fingerprints. Every base-object operation that returns shared state
-// to the caller calls it from within its atomic step.
-func observe(s Stepper, v Value) {
-	if o, ok := s.(valueObserver); ok {
-		o.Observe(v)
-	}
 }
 
 // StateSink receives the canonical state encoding of a base object.
@@ -124,17 +71,6 @@ func (r *Register) ReadW(a Accessor) Value {
 	return v
 }
 
-// Read atomically reads the register.
-func (r *Register) Read(s Stepper) Value {
-	var v Value
-	s.Exec("read "+r.name, func() {
-		declare(s, r.name, false)
-		v = r.val
-		observe(s, v)
-	})
-	return v
-}
-
 // Fingerprint writes the register's canonical state (name and value).
 func (r *Register) Fingerprint(f StateSink) {
 	f.Str(r.name)
@@ -155,18 +91,10 @@ func (r *Register) WriteW(a Accessor, v Value) {
 	r.val = v
 }
 
-// Write atomically writes v to the register.
-func (r *Register) Write(s Stepper, v Value) {
-	s.Exec("write "+r.name, func() {
-		declare(s, r.name, true)
-		r.val = v
-	})
-}
-
 // DurableRegister is the crash-aware register pair of the recovery
 // runtime: an atomic register whose content lives in a volatile cache
-// until an explicit flush persists it. Read and Write act on the cache;
-// Flush copies the cache into the durable cell, each in one atomic
+// until an explicit flush persists it. ReadW and WriteW act on the cache;
+// FlushW copies the cache into the durable cell, each in one atomic
 // step. CrashWipe — called from the owning object's
 // sim.Recoverable.CrashVolatile hook — discards the cache, exposing the
 // last flushed value, which is exactly what a recovery routine then
@@ -195,31 +123,11 @@ func (r *DurableRegister) ReadW(a Accessor) Value {
 	return v
 }
 
-// Read atomically reads the cached value.
-func (r *DurableRegister) Read(s Stepper) Value {
-	var v Value
-	s.Exec("read "+r.name, func() {
-		declare(s, r.name, false)
-		v = r.vol
-		observe(s, v)
-	})
-	return v
-}
-
 // WriteW atomically writes v to the cache within the caller's granted
 // step. The write is volatile until a flush.
 func (r *DurableRegister) WriteW(a Accessor, v Value) {
 	a.Access(r.name, true)
 	r.vol = v
-}
-
-// Write atomically writes v to the cache. The write is volatile until a
-// flush.
-func (r *DurableRegister) Write(s Stepper, v Value) {
-	s.Exec("write "+r.name, func() {
-		declare(s, r.name, true)
-		r.vol = v
-	})
 }
 
 // FlushW atomically persists the cached value within the caller's
@@ -229,14 +137,6 @@ func (r *DurableRegister) FlushW(a Accessor) {
 	r.durable = r.vol
 }
 
-// Flush atomically persists the cached value.
-func (r *DurableRegister) Flush(s Stepper) {
-	s.Exec("flush "+r.name, func() {
-		declare(s, r.name, true)
-		r.durable = r.vol
-	})
-}
-
 // CrashWipe discards the volatile cache, exposing the last flushed
 // value. It is not a step: the simulation runtime invokes the owning
 // object's CrashVolatile hook between windows, at every crash decision.
@@ -244,7 +144,7 @@ func (r *DurableRegister) CrashWipe() { r.vol = r.durable }
 
 // PeekDurable returns the durable cell without recording an access. Like
 // CAS.Peek it exists for scheduler callbacks and tests, which run
-// strictly between process windows; algorithm code must use Read after a
+// strictly between process windows; algorithm code must use ReadW after a
 // crash (the wiped cache equals the durable cell).
 func (r *DurableRegister) PeekDurable() Value { return r.durable }
 
@@ -300,17 +200,6 @@ func (c *CAS) ReadW(a Accessor) Value {
 	return v
 }
 
-// Read atomically reads the current value.
-func (c *CAS) Read(s Stepper) Value {
-	var v Value
-	s.Exec("read "+c.name, func() {
-		declare(s, c.name, false)
-		v = c.val
-		observe(s, v)
-	})
-	return v
-}
-
 // Fingerprint writes the object's canonical state (name and value). The
 // encoding is by content, so implementations whose correctness rides on
 // the identity of stored allocations (fresh-record CAS idioms) must not
@@ -346,25 +235,9 @@ func (c *CAS) CompareAndSwapW(a Accessor, old, new Value) bool {
 	return ok
 }
 
-// CompareAndSwap atomically replaces the current value with new if it
-// equals old, reporting whether the swap happened.
-func (c *CAS) CompareAndSwap(s Stepper, old, new Value) bool {
-	var ok bool
-	s.Exec("cas "+c.name, func() {
-		// See CompareAndSwapW for the failed-CAS read footprint.
-		declare(s, c.name, c.val == old)
-		if c.val == old {
-			c.val = new
-			ok = true
-		}
-		observe(s, ok)
-	})
-	return ok
-}
-
 // Peek reads the current value without consuming a step. It is intended
 // for inspection from scheduler callbacks and tests, which the simulator
-// runs strictly between process windows; algorithm code must use Read.
+// runs strictly between process windows; algorithm code must use ReadW.
 func (c *CAS) Peek() Value { return c.val }
 
 // SwapW atomically replaces the current value unconditionally within
@@ -374,19 +247,6 @@ func (c *CAS) SwapW(a Accessor, new Value) Value {
 	prev := c.val
 	c.val = new
 	a.Observe(prev)
-	return prev
-}
-
-// Swap atomically replaces the current value unconditionally and returns
-// the previous value.
-func (c *CAS) Swap(s Stepper, new Value) Value {
-	var prev Value
-	s.Exec("swap "+c.name, func() {
-		declare(s, c.name, true)
-		prev = c.val
-		c.val = new
-		observe(s, prev)
-	})
 	return prev
 }
 
@@ -416,36 +276,11 @@ func (t *TAS) TestAndSetW(a Accessor) bool {
 	return won
 }
 
-// TestAndSet atomically sets the bit and reports whether this call was the
-// one that set it (true = won).
-func (t *TAS) TestAndSet(s Stepper) bool {
-	var won bool
-	s.Exec("tas "+t.name, func() {
-		// See TestAndSetW for the losing-TAS read footprint.
-		declare(s, t.name, !t.set)
-		won = !t.set
-		t.set = true
-		observe(s, won)
-	})
-	return won
-}
-
 // ReadW atomically reads the bit within the caller's granted step.
 func (t *TAS) ReadW(a Accessor) bool {
 	a.Access(t.name, false)
 	v := t.set
 	a.Observe(v)
-	return v
-}
-
-// Read atomically reads the bit.
-func (t *TAS) Read(s Stepper) bool {
-	var v bool
-	s.Exec("read "+t.name, func() {
-		declare(s, t.name, false)
-		v = t.set
-		observe(s, v)
-	})
 	return v
 }
 
@@ -465,15 +300,6 @@ func (t *TAS) Restore(s any) { t.set = s.(bool) }
 func (t *TAS) ResetW(a Accessor) {
 	a.Access(t.name, true)
 	t.set = false
-}
-
-// Reset atomically clears the bit (the release half of a test-and-set
-// spinlock).
-func (t *TAS) Reset(s Stepper) {
-	s.Exec("reset "+t.name, func() {
-		declare(s, t.name, true)
-		t.set = false
-	})
 }
 
 // FetchAdd is an atomic fetch-and-add counter.
@@ -500,34 +326,11 @@ func (f *FetchAdd) AddW(a Accessor, delta int) int {
 	return prev
 }
 
-// Add atomically adds delta and returns the previous value.
-func (f *FetchAdd) Add(s Stepper, delta int) int {
-	var prev int
-	s.Exec("faa "+f.name, func() {
-		declare(s, f.name, true)
-		prev = f.val
-		f.val += delta
-		observe(s, prev)
-	})
-	return prev
-}
-
 // ReadW atomically reads the counter within the caller's granted step.
 func (f *FetchAdd) ReadW(a Accessor) int {
 	a.Access(f.name, false)
 	v := f.val
 	a.Observe(v)
-	return v
-}
-
-// Read atomically reads the counter.
-func (f *FetchAdd) Read(s Stepper) int {
-	var v int
-	s.Exec("read "+f.name, func() {
-		declare(s, f.name, false)
-		v = f.val
-		observe(s, v)
-	})
 	return v
 }
 
@@ -575,14 +378,6 @@ func (sn *Snapshot) UpdateW(a Accessor, i int, v Value) {
 	sn.slots[i] = v
 }
 
-// Update atomically writes v to component i (0-based).
-func (sn *Snapshot) Update(s Stepper, i int, v Value) {
-	s.Exec("update "+sn.name, func() {
-		declare(s, sn.name, true)
-		sn.slots[i] = v
-	})
-}
-
 // ScanW atomically appends a copy of all components to dst within the
 // caller's granted step and returns the extended slice (pass dst[:0] to
 // reuse a buffer, nil to allocate).
@@ -593,20 +388,6 @@ func (sn *Snapshot) ScanW(a Accessor, dst []Value) []Value {
 		a.Observe(v)
 	}
 	return dst
-}
-
-// Scan atomically returns a copy of all components.
-func (sn *Snapshot) Scan(s Stepper) []Value {
-	var out []Value
-	s.Exec("scan "+sn.name, func() {
-		out = make([]Value, len(sn.slots))
-		declare(s, sn.name, false)
-		copy(out, sn.slots)
-		for _, v := range out {
-			observe(s, v)
-		}
-	})
-	return out
 }
 
 // Fingerprint writes the snapshot object's canonical state (name and

@@ -60,40 +60,6 @@ func newCARound(rnd, n int) *caRound {
 	return r
 }
 
-// run executes commit-adopt for process p with input v, returning the
-// adopted value and whether it was committed.
-func (r *caRound) run(p *sim.Proc, v history.Value) (history.Value, bool) {
-	i := p.ID() - 1
-	r.a[i].Write(p, v)
-	allSame := true
-	for j := range r.a {
-		if av := r.a[j].Read(p); av != nil && av != v {
-			allSame = false
-		}
-	}
-	r.b[i].Write(p, bEntry{v: v, commit: allSame})
-	var committed *bEntry
-	mixed := false
-	for j := range r.b {
-		bv := r.b[j].Read(p)
-		if bv == nil {
-			continue
-		}
-		e := bv.(bEntry)
-		if e.commit {
-			if committed == nil {
-				committed = &e
-			}
-		} else {
-			mixed = true
-		}
-	}
-	if committed != nil {
-		return committed.v, !mixed
-	}
-	return v, false
-}
-
 // CommitAdoptOF is obstruction-free consensus from registers: rounds of
 // commit-adopt plus a decision register.
 //
@@ -185,25 +151,6 @@ func (c *CommitAdoptOF) Restore(v any) {
 	}
 }
 
-// Apply implements sim.Object.
-func (c *CommitAdoptOF) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
-	if d := c.decision.Read(p); d != nil {
-		return d
-	}
-	v := inv.Arg
-	for r := 0; ; r++ {
-		adopted, committed := c.round(r).run(p, v)
-		v = adopted
-		if committed {
-			c.decision.Write(p, v)
-			return v
-		}
-		if d := c.decision.Read(p); d != nil {
-			return d
-		}
-	}
-}
-
 // Frame phases for commitAdoptFrame.pc. Each constant names the access
 // the NEXT Step call performs.
 const (
@@ -217,10 +164,11 @@ const (
 )
 
 // commitAdoptFrame is one in-flight propose: the explicit continuation of
-// Apply's round loop. Local state (the adopted value, the scan results)
-// lives in the frame; the lazy c.round(r) allocation runs at the end of
-// the Step that decides to enter round r, which is the same window it
-// occupies in the blocking form.
+// the round loop (read the decision; per round, write A[i], read every
+// A[j], write B[i], read every B[j]; commit or re-read the decision).
+// Local state (the adopted value, the scan results) lives in the frame;
+// the lazy c.round(r) allocation runs at the end of the Step that
+// decides to enter round r.
 type commitAdoptFrame struct {
 	c   *CommitAdoptOF
 	v   history.Value // current proposal (adopted value after each round)
@@ -235,7 +183,7 @@ type commitAdoptFrame struct {
 	mixed     bool
 }
 
-// Begin implements sim.Stepped. The first access is the decision read,
+// Begin implements sim.Object. The first access is the decision read,
 // so the invocation window runs no object code.
 func (c *CommitAdoptOF) Begin(p *sim.Proc, inv sim.Invocation) (sim.Frame, history.Value, sim.StepStatus) {
 	return &commitAdoptFrame{c: c, v: inv.Arg}, nil, sim.StepPaused
@@ -327,12 +275,6 @@ func NewCASBased() *CASBased {
 	return &CASBased{c: base.NewCAS("C", nil)}
 }
 
-// Apply implements sim.Object.
-func (c *CASBased) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
-	c.c.CompareAndSwap(p, nil, inv.Arg)
-	return c.c.Read(p)
-}
-
 // casBasedFrame is one in-flight propose: CAS(nil, arg), then read the
 // winner.
 type casBasedFrame struct {
@@ -341,7 +283,7 @@ type casBasedFrame struct {
 	cast bool
 }
 
-// Begin implements sim.Stepped.
+// Begin implements sim.Object.
 func (c *CASBased) Begin(p *sim.Proc, inv sim.Invocation) (sim.Frame, history.Value, sim.StepStatus) {
 	return &casBasedFrame{c: c, arg: inv.Arg}, nil, sim.StepPaused
 }
@@ -386,10 +328,10 @@ func (c *CASBased) Restore(v any) { c.c.Restore(v) }
 // histories.
 type Trivial struct{}
 
-// Apply implements sim.Object.
-func (Trivial) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
-	p.Block()
-	return nil
+// Begin implements sim.Object: every operation blocks in its
+// invocation window.
+func (Trivial) Begin(p *sim.Proc, inv sim.Invocation) (sim.Frame, history.Value, sim.StepStatus) {
+	return nil, nil, sim.StepBlocked
 }
 
 // RespondOnce is the implementation I_b from the proof of Theorem 4.9: the
@@ -406,14 +348,14 @@ type RespondOnce struct {
 	responded bool
 }
 
-// Apply implements sim.Object.
-func (r *RespondOnce) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
+// Begin implements sim.Object: the selected invocation responds in its
+// invocation window; every other one blocks there.
+func (r *RespondOnce) Begin(p *sim.Proc, inv sim.Invocation) (sim.Frame, history.Value, sim.StepStatus) {
 	if !r.responded && p.ID() == r.Proc && inv.Op == r.Op && inv.Arg == r.Arg {
 		r.responded = true
-		return r.Resp
+		return nil, r.Resp, sim.StepDone
 	}
-	p.Block()
-	return nil
+	return nil, nil, sim.StepBlocked
 }
 
 // ProposeForever is the liveness environment: each process proposes its

@@ -20,10 +20,44 @@ func NewDecideOwn(n int) *DecideOwn {
 	return &DecideOwn{ann: base.NewSnapshot("ann", n, nil)}
 }
 
-// Apply implements sim.Object.
-func (d *DecideOwn) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
-	d.ann.Update(p, p.ID()-1, inv.Arg)
-	return inv.Arg
+// Begin implements sim.Object: one announce step, then decide the own
+// value.
+func (d *DecideOwn) Begin(p *sim.Proc, inv sim.Invocation) (sim.Frame, history.Value, sim.StepStatus) {
+	return &announceFrame{ann: d.ann, arg: inv.Arg}, nil, sim.StepPaused
+}
+
+// announceFrame is one in-flight propose of DecideOwn or FirstAnnounced:
+// announce the own value, then (scan=true) scan the announcements and
+// decide the lowest announced slot's value.
+type announceFrame struct {
+	ann       *base.Snapshot
+	arg       history.Value
+	scan      bool
+	announced bool
+}
+
+// Step implements sim.Frame.
+func (f *announceFrame) Step(p *sim.Proc) (history.Value, sim.StepStatus) {
+	if !f.announced {
+		f.ann.UpdateW(p, p.ID()-1, f.arg)
+		if !f.scan {
+			return f.arg, sim.StepDone
+		}
+		f.announced = true
+		return nil, sim.StepPaused
+	}
+	for _, v := range f.ann.ScanW(p, nil) {
+		if v != nil {
+			return v, sim.StepDone
+		}
+	}
+	return f.arg, sim.StepDone
+}
+
+// Fork implements sim.Frame.
+func (f *announceFrame) Fork() sim.Frame {
+	c := *f
+	return &c
 }
 
 // FirstAnnounced is a k-set agreement implementation that decides the
@@ -42,14 +76,7 @@ func NewFirstAnnounced(n int) *FirstAnnounced {
 	return &FirstAnnounced{ann: base.NewSnapshot("ann", n, nil)}
 }
 
-// Apply implements sim.Object.
-func (d *FirstAnnounced) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
-	d.ann.Update(p, p.ID()-1, inv.Arg)
-	snap := d.ann.Scan(p)
-	for _, v := range snap {
-		if v != nil {
-			return v
-		}
-	}
-	return inv.Arg
+// Begin implements sim.Object: announce, scan, decide.
+func (d *FirstAnnounced) Begin(p *sim.Proc, inv sim.Invocation) (sim.Frame, history.Value, sim.StepStatus) {
+	return &announceFrame{ann: d.ann, arg: inv.Arg, scan: true}, nil, sim.StepPaused
 }

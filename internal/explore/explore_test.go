@@ -96,8 +96,14 @@ type brokenConsensus struct {
 	r *base.Register
 }
 
-func (b *brokenConsensus) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
-	b.r.Write(p, inv.Arg)
+// Begin implements sim.Object: one window writes the proposal and
+// decides it.
+func (b *brokenConsensus) Begin(p *sim.Proc, inv sim.Invocation) (sim.Frame, history.Value, sim.StepStatus) {
+	return sim.ObjectFunc(b.decide).Begin(p, inv)
+}
+
+func (b *brokenConsensus) decide(p *sim.Proc, inv sim.Invocation) history.Value {
+	b.r.WriteW(p, inv.Arg)
 	return inv.Arg
 }
 

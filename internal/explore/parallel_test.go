@@ -69,7 +69,6 @@ func TestCrashBranchingOnlyReadyProcs(t *testing.T) {
 		Procs: 1,
 		NewObject: func() sim.Object {
 			return sim.ObjectFunc(func(p *sim.Proc, inv sim.Invocation) history.Value {
-				p.Exec("work", func() {})
 				return history.OK
 			})
 		},

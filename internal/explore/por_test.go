@@ -19,8 +19,14 @@ type footprintedBroken struct {
 	r *base.Register
 }
 
-func (b *footprintedBroken) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
-	b.r.Write(p, inv.Arg)
+// Begin implements sim.Object: one window writes the proposal and
+// decides it.
+func (b *footprintedBroken) Begin(p *sim.Proc, inv sim.Invocation) (sim.Frame, history.Value, sim.StepStatus) {
+	return sim.ObjectFunc(b.decide).Begin(p, inv)
+}
+
+func (b *footprintedBroken) decide(p *sim.Proc, inv sim.Invocation) history.Value {
+	b.r.WriteW(p, inv.Arg)
 	return inv.Arg
 }
 
@@ -36,20 +42,40 @@ type racyLock struct {
 	held *base.Register
 }
 
-func (l *racyLock) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
+// Begin implements sim.Object: acquire spins reading the flag until it
+// reads false, then sets it in a separate step; release clears it.
+func (l *racyLock) Begin(p *sim.Proc, inv sim.Invocation) (sim.Frame, history.Value, sim.StepStatus) {
 	switch inv.Op {
-	case safety.LockAcquire:
-		for {
-			if !l.held.Read(p).(bool) {
-				l.held.Write(p, true)
-				return "locked"
-			}
-		}
-	case safety.LockRelease:
-		l.held.Write(p, false)
-		return "unlocked"
+	case safety.LockAcquire, safety.LockRelease:
+		return &racyFrame{l: l, acquire: inv.Op == safety.LockAcquire}, nil, sim.StepPaused
 	}
-	return nil
+	return nil, nil, sim.StepDone
+}
+
+// racyFrame is one in-flight racyLock operation; saw records that the
+// acquire read the flag false.
+type racyFrame struct {
+	l       *racyLock
+	acquire bool
+	saw     bool
+}
+
+func (f *racyFrame) Step(p *sim.Proc) (history.Value, sim.StepStatus) {
+	switch {
+	case !f.acquire:
+		f.l.held.WriteW(p, false)
+		return "unlocked", sim.StepDone
+	case f.saw:
+		f.l.held.WriteW(p, true)
+		return "locked", sim.StepDone
+	}
+	f.saw = !f.l.held.ReadW(p).(bool)
+	return nil, sim.StepPaused
+}
+
+func (f *racyFrame) Fork() sim.Frame {
+	c := *f
+	return &c
 }
 
 func (l *racyLock) Footprints() bool { return true }

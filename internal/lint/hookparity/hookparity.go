@@ -1,10 +1,11 @@
 // Package hookparity enforces the engine's hook-parity contract: a
-// shared-object implementation (a type with an Apply step method) that
-// opts into any of the simulator's optional capability hooks —
-// sim.Footprinted (partial-order reduction), sim.Fingerprintable
-// (state caching), sim.Snapshottable (incremental execution),
-// sim.Recoverable (crash–recovery exploration) — must either implement
-// all four or carry an explicit exemption pragma per missing hook:
+// shared-object implementation (a type with a Begin method, the
+// sim.Object method set) that opts into any of the simulator's optional
+// capability hooks — sim.Footprinted (partial-order reduction),
+// sim.Fingerprintable (state caching), sim.Snapshottable (incremental
+// execution), sim.Recoverable (crash–recovery exploration) — must either
+// implement all four or carry an explicit exemption pragma per missing
+// hook:
 //
 //	//slx:nofootprint   POR must treat every step as conflicting
 //	//slx:nofingerprint content fingerprints are unsound (pointer identity)
@@ -81,7 +82,7 @@ func checkType(pass *analysis.Pass, ts *ast.TypeSpec, doc *ast.CommentGroup) {
 	}
 	ms := types.NewMethodSet(types.NewPointer(named))
 
-	if !hasApply(ms) {
+	if !hasBegin(ms) {
 		return
 	}
 	footprinted := hasFootprints(ms)
@@ -136,11 +137,11 @@ func signature(ms *types.MethodSet, name string) *types.Signature {
 	return nil
 }
 
-// hasApply matches the sim.Object step method shape:
-// Apply(p *Proc, inv Invocation) Value.
-func hasApply(ms *types.MethodSet) bool {
-	sig := signature(ms, "Apply")
-	return sig != nil && sig.Params().Len() == 2 && sig.Results().Len() == 1
+// hasBegin matches the sim.Object method shape:
+// Begin(p *Proc, inv Invocation) (Frame, Value, StepStatus).
+func hasBegin(ms *types.MethodSet) bool {
+	sig := signature(ms, "Begin")
+	return sig != nil && sig.Params().Len() == 2 && sig.Results().Len() == 3
 }
 
 // hasFootprints matches sim.Footprinted: Footprints() bool.

@@ -18,19 +18,19 @@ type Frame interface{ Step(*Proc) (any, int) }
 // full implements every hook, the Recoverable pair included: clean.
 type full struct{}
 
-func (f *full) Apply(p *Proc, inv Invocation) any { return nil }
-func (f *full) Footprints() bool                  { return true }
-func (f *full) Fingerprint(fp *Fingerprinter)     {}
-func (f *full) Snapshot() any                     { return nil }
-func (f *full) Restore(any)                       {}
-func (f *full) CrashVolatile()                    {}
-func (f *full) RecoverFrame() Frame               { return nil }
+func (f *full) Begin(p *Proc, inv Invocation) (Frame, any, int) { return nil, nil, 0 }
+func (f *full) Footprints() bool                                { return true }
+func (f *full) Fingerprint(fp *Fingerprinter)                   {}
+func (f *full) Snapshot() any                                   { return nil }
+func (f *full) Restore(any)                                     {}
+func (f *full) CrashVolatile()                                  {}
+func (f *full) RecoverFrame() Frame                             { return nil }
 
 // partial opts into footprints only and carries no exemptions.
 type partial struct{} // want `not sim\.Fingerprintable` `not sim\.Snapshottable` `not sim\.Recoverable`
 
-func (q *partial) Apply(p *Proc, inv Invocation) any { return nil }
-func (q *partial) Footprints() bool                  { return true }
+func (q *partial) Begin(p *Proc, inv Invocation) (Frame, any, int) { return nil, nil, 0 }
+func (q *partial) Footprints() bool                                { return true }
 
 // halfSnapshot has Snapshot but no Restore: the snapshot hook is
 // incomplete, so only the fingerprint side of the pair is satisfied.
@@ -38,9 +38,9 @@ func (q *partial) Footprints() bool                  { return true }
 //slx:norecover fixture: every cell durable
 type halfSnapshot struct{} // want `not sim\.Footprint` `not sim\.Snapshottable`
 
-func (h *halfSnapshot) Apply(p *Proc, inv Invocation) any { return nil }
-func (h *halfSnapshot) Fingerprint(fp *Fingerprinter)     {}
-func (h *halfSnapshot) Snapshot() any                     { return nil }
+func (h *halfSnapshot) Begin(p *Proc, inv Invocation) (Frame, any, int) { return nil, nil, 0 }
+func (h *halfSnapshot) Fingerprint(fp *Fingerprinter)                   {}
+func (h *halfSnapshot) Snapshot() any                                   { return nil }
 
 // annotated opts into snapshots only, with the missing hooks
 // explicitly exempted: clean.
@@ -50,22 +50,22 @@ func (h *halfSnapshot) Snapshot() any                     { return nil }
 //slx:norecover fixture: every cell durable
 type annotated struct{}
 
-func (a *annotated) Apply(p *Proc, inv Invocation) any { return nil }
-func (a *annotated) Snapshot() any                     { return nil }
-func (a *annotated) Restore(any)                       {}
+func (a *annotated) Begin(p *Proc, inv Invocation) (Frame, any, int) { return nil, nil, 0 }
+func (a *annotated) Snapshot() any                                   { return nil }
+func (a *annotated) Restore(any)                                     {}
 
 // plain opts into nothing: outside the parity contract, clean.
 type plain struct{}
 
-func (pl *plain) Apply(p *Proc, inv Invocation) any { return nil }
+func (pl *plain) Begin(p *Proc, inv Invocation) (Frame, any, int) { return nil, nil, 0 }
 
 // recoverOnly opts into crash–recovery alone; the other hooks must be
 // implemented or exempted like for any capability.
 type recoverOnly struct{} // want `not sim\.Footprint` `not sim\.Fingerprintable` `not sim\.Snapshottable`
 
-func (r *recoverOnly) Apply(p *Proc, inv Invocation) any { return nil }
-func (r *recoverOnly) CrashVolatile()                    {}
-func (r *recoverOnly) RecoverFrame() Frame               { return nil }
+func (r *recoverOnly) Begin(p *Proc, inv Invocation) (Frame, any, int) { return nil, nil, 0 }
+func (r *recoverOnly) CrashVolatile()                                  {}
+func (r *recoverOnly) RecoverFrame() Frame                             { return nil }
 
 // halfRecover has CrashVolatile but no RecoverFrame: the runtime's
 // interface assertion fails silently, so the half pair is always a
@@ -74,11 +74,26 @@ func (r *recoverOnly) RecoverFrame() Frame               { return nil }
 //slx:norecover fixture: pragma must not silence the broken pair
 type halfRecover struct{} // want `implements CrashVolatile but not RecoverFrame`
 
-func (h *halfRecover) Apply(p *Proc, inv Invocation) any { return nil }
-func (h *halfRecover) Footprints() bool                  { return true }
-func (h *halfRecover) Fingerprint(fp *Fingerprinter)     {}
-func (h *halfRecover) Snapshot() any                     { return nil }
-func (h *halfRecover) Restore(any)                       {}
-func (h *halfRecover) CrashVolatile()                    {}
+func (h *halfRecover) Begin(p *Proc, inv Invocation) (Frame, any, int) { return nil, nil, 0 }
+func (h *halfRecover) Footprints() bool                                { return true }
+func (h *halfRecover) Fingerprint(fp *Fingerprinter)                   {}
+func (h *halfRecover) Snapshot() any                                   { return nil }
+func (h *halfRecover) Restore(any)                                     {}
+func (h *halfRecover) CrashVolatile()                                  {}
 
-var _ = []any{&full{}, &partial{}, &halfSnapshot{}, &annotated{}, &plain{}, &recoverOnly{}, &halfRecover{}}
+// beginOnly is an object by its Begin method alone and opts into
+// snapshots without exempting the rest: diagnosed like any object.
+type beginOnly struct{} // want `not sim\.Footprint` `not sim\.Fingerprintable` `not sim\.Recoverable`
+
+func (b *beginOnly) Begin(p *Proc, inv Invocation) (Frame, any, int) { return nil, nil, 0 }
+func (b *beginOnly) Snapshot() any                                   { return nil }
+func (b *beginOnly) Restore(any)                                     {}
+
+// notAnObject has hook-shaped methods but no Begin: it is not a
+// shared-object implementation, so the parity rule does not apply.
+type notAnObject struct{}
+
+func (n *notAnObject) Footprints() bool { return true }
+func (n *notAnObject) Snapshot() any    { return nil }
+
+var _ = []any{&full{}, &partial{}, &halfSnapshot{}, &annotated{}, &plain{}, &recoverOnly{}, &halfRecover{}, &beginOnly{}, &notAnObject{}}

@@ -26,10 +26,10 @@
 //	//slx:nondet         detorder: this line (or the next) reads
 //	                     wall-clock time or iterates a map in an order
 //	                     that provably cannot reach engine results.
-//	//slx:nostepwindow   replaypure: this Begin/Step-shaped method is
-//	                     not a sim continuation (or knowingly bends the
-//	                     window contract) and is exempt from the
-//	                     window-purity checks.
+//	//slx:nostepwindow   replaypure: this Begin-shaped method is not a
+//	                     sim object's (or knowingly bends the window
+//	                     contract) and is exempt from the invocation
+//	                     window's no-access check.
 //
 // A reason is not enforced but every annotation in the tree carries
 // one: the exemption is an assertion, and the reason is its proof

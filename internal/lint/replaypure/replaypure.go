@@ -1,29 +1,22 @@
-// Package replaypure enforces the continuation runtime's window-purity
-// contract (sim.Stepped). Operations of session-capable objects run as
-// resumable frames: Begin executes the invocation window, each
-// Frame.Step call executes one access window, and the engine — not a
-// per-process goroutine — grants the windows. Two structural rules keep
-// a continuation translation faithful to its blocking oracle:
+// Package replaypure enforces the runtime's window-purity contract
+// (sim.Object). Operations run as resumable frames: Begin executes the
+// invocation window, each Frame.Step call executes one access window,
+// and the engine grants the windows. One structural rule keeps the
+// window structure — and with it the schedules, footprints and
+// fingerprints pinned by the golden schedule trees — intact:
 //
 //   - The invocation window carries no footprint: Begin bodies must not
-//     declare accesses (Proc.Access, internal/base's declare helper, or
-//     any base window method such as ReadW/WriteW/CompareAndSwapW). A
-//     Begin that touched shared state would give the operation an extra
-//     scheduler-visible step the oracle does not have, desynchronizing
-//     schedules, footprints and fingerprints between the two execution
-//     engines. Proc.Observe IS allowed: local state that steers the
+//     declare accesses (Proc.Access, or any base window method such as
+//     ReadW/WriteW/CompareAndSwapW). A Begin that touched shared state
+//     would fold an access into the invocation step, giving the
+//     operation a scheduler-visible effect that no decision accounts
+//     for. Proc.Observe IS allowed: local state that steers the
 //     operation (e.g. a transaction's active flag) is folded into the
-//     fingerprint in the invocation window by both forms.
+//     fingerprint in the invocation window.
 //
-//   - Continuation code never performs the scheduler handshake: Begin
-//     and Step bodies must not call Proc.Exec / Stepper.Exec. Their
-//     windows are already granted by the dispatch loop; Exec is the
-//     blocking-form handshake and panics under direct dispatch.
-//
-// The analyzer identifies continuation methods by shape: a method named
-// Begin taking (*Proc, Invocation) with three results, or a method
-// named Step taking a single *Proc with two results. Methods that match
-// the shape but are not sim continuations may exempt themselves with
+// The analyzer identifies Begin methods by shape: a method named Begin
+// taking (*Proc, Invocation) with three results. Methods that match the
+// shape but are not sim objects may exempt themselves with
 // //slx:nostepwindow and a reason.
 package replaypure
 
@@ -37,16 +30,9 @@ import (
 // Analyzer is the replaypure check.
 var Analyzer = &analysis.Analyzer{
 	Name: "replaypure",
-	Doc:  "continuation Begin windows must declare no accesses, and Begin/Step must never call the blocking Exec handshake",
+	Doc:  "continuation Begin windows must declare no accesses",
 	Run:  run,
 }
-
-// method kinds recognized by contKind.
-const (
-	notCont = iota
-	beginMethod
-	stepMethod
-)
 
 func run(pass *analysis.Pass) error {
 	for _, file := range pass.Files {
@@ -55,77 +41,56 @@ func run(pass *analysis.Pass) error {
 			if !ok || fn.Body == nil || fn.Recv == nil {
 				continue
 			}
-			kind := contKind(fn)
-			if kind == notCont {
+			if !isBegin(fn) {
 				continue
 			}
 			if pragma.Has(fn.Doc, "nostepwindow") {
 				continue
 			}
-			checkBody(pass, fn, kind)
+			checkBegin(pass, fn)
 		}
 	}
 	return nil
 }
 
-// checkBody scans one continuation method body for contract violations.
-func checkBody(pass *analysis.Pass, fn *ast.FuncDecl, kind int) {
+// checkBegin scans one Begin body for accesses in the invocation window.
+func checkBegin(pass *analysis.Pass, fn *ast.FuncDecl) {
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		if isExecCall(call) {
-			pass.Reportf(call.Pos(), "continuation %s calls Exec: its windows are granted by the dispatch loop, so the blocking handshake would panic; perform the access with a window method (ReadW, WriteW, ...) or Proc.Access instead (or annotate the method //slx:nostepwindow)", fn.Name.Name)
-			return true
-		}
-		if kind != beginMethod {
-			return true
-		}
 		if isAccessCall(call) {
-			pass.Reportf(call.Pos(), "Begin declares a footprint in the invocation window: the oracle's invocation window performs no access, so move this into the frame's first Step (or annotate the method //slx:nostepwindow)")
+			pass.Reportf(call.Pos(), "Begin declares a footprint in the invocation window: the invocation window performs no access, so move this into the frame's first Step (or annotate the method //slx:nostepwindow)")
 		} else if name, ok := windowCall(call); ok {
-			pass.Reportf(call.Pos(), "Begin calls the window method %s in the invocation window: the oracle's invocation window performs no access, so move this into the frame's first Step (or annotate the method //slx:nostepwindow)", name)
+			pass.Reportf(call.Pos(), "Begin calls the window method %s in the invocation window: the invocation window performs no access, so move this into the frame's first Step (or annotate the method //slx:nostepwindow)", name)
 		}
 		return true
 	})
 }
 
-// contKind classifies a method declaration: Stepped.Begin-shaped,
-// Frame.Step-shaped, or neither. Shapes are matched structurally —
-// name, arity and a *Proc first parameter — because the analyzer runs
-// without type information.
-func contKind(fn *ast.FuncDecl) int {
-	params := fn.Type.Params.List
-	results := 0
-	if fn.Type.Results != nil {
-		for _, f := range fn.Type.Results.List {
-			if n := len(f.Names); n > 0 {
-				results += n
-			} else {
-				results++
-			}
-		}
+// isBegin reports whether a method declaration has the Object.Begin
+// shape. Shapes are matched structurally — name, arity and a *Proc
+// first parameter — because the analyzer runs without type information.
+func isBegin(fn *ast.FuncDecl) bool {
+	if fn.Name.Name != "Begin" || fn.Type.Results == nil {
+		return false
 	}
-	args := 0
-	for _, f := range params {
-		if n := len(f.Names); n > 0 {
-			args += n
+	return count(fn.Type.Params.List) == 2 && count(fn.Type.Results.List) == 3 &&
+		isProcPtr(fn.Type.Params.List[0].Type)
+}
+
+// count returns the number of entries a field list declares.
+func count(fields []*ast.Field) int {
+	n := 0
+	for _, f := range fields {
+		if k := len(f.Names); k > 0 {
+			n += k
 		} else {
-			args++
+			n++
 		}
 	}
-	switch fn.Name.Name {
-	case "Begin":
-		if args == 2 && results == 3 && len(params) > 0 && isProcPtr(params[0].Type) {
-			return beginMethod
-		}
-	case "Step":
-		if args == 1 && results == 2 && len(params) == 1 && isProcPtr(params[0].Type) {
-			return stepMethod
-		}
-	}
-	return notCont
+	return n
 }
 
 // isProcPtr matches *Proc, *sim.Proc and *run.Proc parameter types.
@@ -143,22 +108,11 @@ func isProcPtr(t ast.Expr) bool {
 	return false
 }
 
-// isExecCall matches the blocking handshake `.Exec(desc, func(){...})`.
-func isExecCall(call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	return ok && sel.Sel.Name == "Exec" && len(call.Args) == 2
-}
-
-// isAccessCall matches the footprint declaration forms: a .Access
-// method call (sim.Proc) or internal/base's declare helper.
+// isAccessCall matches the footprint declaration: a .Access method
+// call (sim.Proc).
 func isAccessCall(call *ast.CallExpr) bool {
-	switch fun := call.Fun.(type) {
-	case *ast.SelectorExpr:
-		return fun.Sel.Name == "Access"
-	case *ast.Ident:
-		return fun.Name == "declare"
-	}
-	return false
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	return ok && sel.Sel.Name == "Access"
 }
 
 // windowMethods is the base-object window-form vocabulary: every one

@@ -6,9 +6,6 @@ package replaypure
 // Proc stands in for sim.Proc.
 type Proc struct{}
 
-// Exec runs one step closure (the blocking handshake).
-func (p *Proc) Exec(desc string, step func()) { step() }
-
 // Access declares a footprint entry.
 func (p *Proc) Access(name string, write bool) {}
 
@@ -88,27 +85,6 @@ func (o *windowInBegin) Begin(p *Proc, inv Invocation) (Frame, any, int) {
 	return nil, o.r.ReadW(p), 1 // want `Begin calls the window method ReadW in the invocation window`
 }
 
-// execInBegin performs the blocking handshake from Begin: flagged.
-type execInBegin struct{ r *register }
-
-func (o *execInBegin) Begin(p *Proc, inv Invocation) (Frame, any, int) {
-	var v any
-	p.Exec("read", func() { // want `continuation Begin calls Exec`
-		v = o.r.val
-	})
-	return nil, v, 1
-}
-
-// execInStep performs the blocking handshake from Step: flagged.
-type execFrame struct{ o *execInBegin }
-
-func (f *execFrame) Step(p *Proc) (any, int) {
-	p.Exec("write", func() {}) // want `continuation Step calls Exec`
-	return nil, 1
-}
-
-func (f *execFrame) Fork() Frame { return f }
-
 // exempted matches the Begin shape but is not a sim continuation; the
 // pragma waives the contract.
 type exempted struct{ r *register }
@@ -125,7 +101,7 @@ type otherShape struct{}
 
 func (o *otherShape) Step(e any) error {
 	p := &Proc{}
-	p.Exec("x", func() {})
+	p.Access("x", true)
 	return nil
 }
 
@@ -133,8 +109,6 @@ var _ = []any{
 	(*cleanObj).Begin,
 	(*accessInBegin).Begin,
 	(*windowInBegin).Begin,
-	(*execInBegin).Begin,
-	(*execFrame).Step,
 	(*exempted).Begin,
 	(*otherShape).Step,
 }

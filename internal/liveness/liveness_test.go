@@ -262,9 +262,29 @@ type casObject struct {
 	c *base.CAS
 }
 
-func (o *casObject) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
-	o.c.CompareAndSwap(p, nil, inv.Arg)
-	return o.c.Read(p)
+// Begin implements sim.Object: CAS(nil, arg), then read the winner.
+func (o *casObject) Begin(p *sim.Proc, inv sim.Invocation) (sim.Frame, history.Value, sim.StepStatus) {
+	return &casFrame{o: o, arg: inv.Arg}, nil, sim.StepPaused
+}
+
+type casFrame struct {
+	o    *casObject
+	arg  history.Value
+	cast bool
+}
+
+func (f *casFrame) Step(p *sim.Proc) (history.Value, sim.StepStatus) {
+	if !f.cast {
+		f.o.c.CompareAndSwapW(p, nil, f.arg)
+		f.cast = true
+		return nil, sim.StepPaused
+	}
+	return f.o.c.ReadW(p), sim.StepDone
+}
+
+func (f *casFrame) Fork() sim.Frame {
+	c := *f
+	return &c
 }
 
 func TestFromResultIntegration(t *testing.T) {

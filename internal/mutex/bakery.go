@@ -45,49 +45,95 @@ func (b *Bakery) Fingerprint(f *sim.Fingerprinter) {
 	}
 }
 
-// Acquire takes the lock for p, waiting first-come-first-served.
-func (b *Bakery) Acquire(p *sim.Proc) {
-	me := p.ID() - 1
-	b.choosing[me].Write(p, true)
-	max := 0
-	for j := 0; j < b.n; j++ {
-		if n := b.number[j].Read(p).(int); n > max {
-			max = n
-		}
-	}
-	myNum := max + 1
-	b.number[me].Write(p, myNum)
-	b.choosing[me].Write(p, false)
-	for j := 0; j < b.n; j++ {
-		if j == me {
-			continue
-		}
-		for b.choosing[j].Read(p).(bool) {
-		}
-		for {
-			nj := b.number[j].Read(p).(int)
-			if nj == 0 || nj > myNum || (nj == myNum && j > me) {
-				break
-			}
-		}
-	}
-}
-
-// Release releases the lock.
-func (b *Bakery) Release(p *sim.Proc) {
-	b.number[p.ID()-1].Write(p, 0)
-}
-
-// Apply implements sim.Object.
-func (b *Bakery) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
+// Begin implements sim.Object.
+func (b *Bakery) Begin(p *sim.Proc, inv sim.Invocation) (sim.Frame, history.Value, sim.StepStatus) {
 	switch inv.Op {
 	case OpAcquire:
-		b.Acquire(p)
-		return Locked
+		return &bakeryAcquire{b: b, me: p.ID() - 1}, nil, sim.StepPaused
 	case OpRelease:
-		b.Release(p)
-		return Unlocked
+		return &bakeryRelease{b: b}, nil, sim.StepPaused
 	default:
-		return nil
+		return nil, nil, sim.StepDone
 	}
 }
+
+// bakeryAcquire is an in-flight acquire. pc: 0 = raise choosing, 1 =
+// read number[j] for the maximum, 2 = take ticket max+1, 3 = lower
+// choosing, 4 = wait while choosing[j], 5 = wait while number[j] has
+// priority; j walks the other processes in id order.
+type bakeryAcquire struct {
+	b     *Bakery
+	me    int
+	pc    int
+	j     int
+	max   int
+	myNum int
+}
+
+// Step implements sim.Frame.
+func (f *bakeryAcquire) Step(p *sim.Proc) (history.Value, sim.StepStatus) {
+	b := f.b
+	switch f.pc {
+	case 0:
+		b.choosing[f.me].WriteW(p, true)
+		f.pc = 1
+	case 1:
+		if n := b.number[f.j].ReadW(p).(int); n > f.max {
+			f.max = n
+		}
+		if f.j++; f.j == b.n {
+			f.myNum = f.max + 1
+			f.pc = 2
+		}
+	case 2:
+		b.number[f.me].WriteW(p, f.myNum)
+		f.pc = 3
+	case 3:
+		b.choosing[f.me].WriteW(p, false)
+		f.j = -1
+		return f.nextOther()
+	case 4:
+		if !b.choosing[f.j].ReadW(p).(bool) {
+			f.pc = 5
+		}
+	case 5:
+		nj := b.number[f.j].ReadW(p).(int)
+		if nj == 0 || nj > f.myNum || (nj == f.myNum && f.j > f.me) {
+			return f.nextOther()
+		}
+	}
+	return nil, sim.StepPaused
+}
+
+// nextOther advances j to the next other process to wait for; the lock
+// is held once none is left.
+func (f *bakeryAcquire) nextOther() (history.Value, sim.StepStatus) {
+	f.j++
+	if f.j == f.me {
+		f.j++
+	}
+	if f.j >= f.b.n {
+		return Locked, sim.StepDone
+	}
+	f.pc = 4
+	return nil, sim.StepPaused
+}
+
+// Fork implements sim.Frame.
+func (f *bakeryAcquire) Fork() sim.Frame {
+	c := *f
+	return &c
+}
+
+// bakeryRelease is an in-flight release: one write of the own ticket
+// back to zero. It never mutates, so Fork returns the receiver.
+type bakeryRelease struct{ b *Bakery }
+
+// Step implements sim.Frame.
+func (f *bakeryRelease) Step(p *sim.Proc) (history.Value, sim.StepStatus) {
+	f.b.number[p.ID()-1].WriteW(p, 0)
+	return Unlocked, sim.StepDone
+}
+
+// Fork implements sim.Frame.
+func (f *bakeryRelease) Fork() sim.Frame { return f }

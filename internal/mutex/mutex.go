@@ -18,6 +18,8 @@
 package mutex
 
 import (
+	"fmt"
+
 	"repro/internal/base"
 	"repro/internal/history"
 	"repro/internal/liveness"
@@ -67,28 +69,6 @@ func NewPeterson() *Peterson {
 	}
 }
 
-// Acquire blocks (spinning on register reads) until the lock is held by p.
-// Process ids must be 1 or 2.
-func (l *Peterson) Acquire(p *sim.Proc) {
-	me := p.ID() - 1
-	other := 1 - me
-	l.flag[me].Write(p, true)
-	l.turn.Write(p, other+1)
-	for {
-		if !l.flag[other].Read(p).(bool) {
-			return
-		}
-		if l.turn.Read(p) != other+1 {
-			return
-		}
-	}
-}
-
-// Release releases the lock held by p.
-func (l *Peterson) Release(p *sim.Proc) {
-	l.flag[p.ID()-1].Write(p, false)
-}
-
 // Footprints implements sim.Footprinted: all shared state is in the
 // three named registers.
 func (l *Peterson) Footprints() bool { return true }
@@ -118,20 +98,6 @@ func (l *Peterson) Restore(v any) {
 	l.turn.Restore(st.turn)
 }
 
-// Apply implements sim.Object.
-func (l *Peterson) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
-	switch inv.Op {
-	case OpAcquire:
-		l.Acquire(p)
-		return Locked
-	case OpRelease:
-		l.Release(p)
-		return Unlocked
-	default:
-		return nil
-	}
-}
-
 // petersonFrame is one in-flight Peterson operation as a continuation
 // state machine; pc tracks the acquire protocol's position (write own
 // flag, write turn, then the two-read spin loop).
@@ -142,20 +108,28 @@ type petersonFrame struct {
 	pc      int
 }
 
-// Begin implements sim.Stepped: both operations start with a base
-// access, so the invocation window runs no object code.
+// Begin implements sim.Object: both operations start with a base
+// access, so the invocation window runs no object code. The lock has one
+// flag per process for exactly two processes, so any other process id
+// is a misuse and panics.
 func (l *Peterson) Begin(p *sim.Proc, inv sim.Invocation) (sim.Frame, history.Value, sim.StepStatus) {
+	me := p.ID() - 1
+	if me != 0 && me != 1 {
+		panic(fmt.Sprintf("mutex: Peterson is a two-process lock (process ids 1 and 2), invoked by process %d", p.ID()))
+	}
 	switch inv.Op {
 	case OpAcquire:
-		return &petersonFrame{l: l, me: p.ID() - 1, acquire: true}, nil, sim.StepPaused
+		return &petersonFrame{l: l, me: me, acquire: true}, nil, sim.StepPaused
 	case OpRelease:
-		return &petersonFrame{l: l, me: p.ID() - 1}, nil, sim.StepPaused
+		return &petersonFrame{l: l, me: me}, nil, sim.StepPaused
 	default:
 		return nil, nil, sim.StepDone
 	}
 }
 
-// Step implements sim.Frame, mirroring Acquire/Release step for step.
+// Step implements sim.Frame: release writes the own flag down; acquire
+// writes the own flag, yields the turn, then spins reading the other
+// flag and the turn until either lets it in.
 func (f *petersonFrame) Step(p *sim.Proc) (history.Value, sim.StepStatus) {
 	l := f.l
 	if !f.acquire {
@@ -202,17 +176,6 @@ func NewTASLock() *TASLock {
 	return &TASLock{t: base.NewTAS("lock")}
 }
 
-// Acquire spins on test-and-set until the lock is held by p.
-func (l *TASLock) Acquire(p *sim.Proc) {
-	for !l.t.TestAndSet(p) {
-	}
-}
-
-// Release releases the lock.
-func (l *TASLock) Release(p *sim.Proc) {
-	l.t.Reset(p)
-}
-
 // Footprints implements sim.Footprinted: all shared state is the single
 // test-and-set bit.
 func (l *TASLock) Footprints() bool { return true }
@@ -229,20 +192,6 @@ func (l *TASLock) Snapshot() any { return l.t.Snapshot() }
 // Restore implements sim.Snapshottable.
 func (l *TASLock) Restore(v any) { l.t.Restore(v) }
 
-// Apply implements sim.Object.
-func (l *TASLock) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
-	switch inv.Op {
-	case OpAcquire:
-		l.Acquire(p)
-		return Locked
-	case OpRelease:
-		l.Release(p)
-		return Unlocked
-	default:
-		return nil
-	}
-}
-
 // tasLockFrame is one in-flight TASLock operation. It carries no
 // mutable state (the spin loop re-runs the same test-and-set step), so
 // Fork returns the frame itself.
@@ -251,7 +200,7 @@ type tasLockFrame struct {
 	acquire bool
 }
 
-// Begin implements sim.Stepped.
+// Begin implements sim.Object.
 func (l *TASLock) Begin(p *sim.Proc, inv sim.Invocation) (sim.Frame, history.Value, sim.StepStatus) {
 	switch inv.Op {
 	case OpAcquire:
@@ -317,35 +266,32 @@ func NewTournament(n int) *Tournament {
 	return t
 }
 
-// Apply implements sim.Object.
-func (t *Tournament) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
+// Begin implements sim.Object. A process climbs from its leaf position
+// to the root, acquiring the two-process lock of each node on the side
+// its subtree lies on, and releases top-down; with a single process
+// there is no node, so both operations complete in the invocation
+// window.
+func (t *Tournament) Begin(p *sim.Proc, inv sim.Invocation) (sim.Frame, history.Value, sim.StepStatus) {
+	pos := t.leaf + p.ID() - 1
 	switch inv.Op {
 	case OpAcquire:
-		pos := t.leaf + p.ID() - 1
-		for pos > 1 {
-			side := pos % 2 // 0 = left child, 1 = right child
-			node := pos / 2
-			t.petersonAcquire(p, node, side)
-			pos = node
+		if pos == 1 {
+			return nil, Locked, sim.StepDone
 		}
-		return Locked
+		return &tournamentAcquire{t: t, pos: pos}, nil, sim.StepPaused
 	case OpRelease:
-		// Release top-down: recompute the path and release in root-to-leaf
-		// order.
-		var path []int // node indices with sides encoded in the climb
-		pos := t.leaf + p.ID() - 1
-		for pos > 1 {
-			path = append(path, pos)
-			pos /= 2
+		if pos == 1 {
+			return nil, Unlocked, sim.StepDone
 		}
-		for i := len(path) - 1; i >= 0; i-- {
-			node := path[i] / 2
-			side := path[i] % 2
-			t.flagReg(node, side).Write(p, false)
+		// Level i of the climb is the node above position pos>>i; the
+		// root is the last level.
+		top := 0
+		for pos>>(top+1) > 1 {
+			top++
 		}
-		return Unlocked
+		return &tournamentRelease{t: t, leaf: pos, level: top}, nil, sim.StepPaused
 	default:
-		return nil
+		return nil, nil, sim.StepDone
 	}
 }
 
@@ -353,18 +299,79 @@ func (t *Tournament) flagReg(node, side int) *base.Register {
 	return t.flag[node][side]
 }
 
-func (t *Tournament) petersonAcquire(p *sim.Proc, node, side int) {
+// tournamentAcquire is an in-flight acquire at position pos (the node
+// pos/2 is being acquired from side pos%2). pc: 0 = raise the own flag,
+// 1 = yield the turn, 2 = read the other flag, 3 = read the turn.
+type tournamentAcquire struct {
+	t   *Tournament
+	pos int
+	pc  int
+}
+
+// Step implements sim.Frame.
+func (f *tournamentAcquire) Step(p *sim.Proc) (history.Value, sim.StepStatus) {
+	t := f.t
+	node, side := f.pos/2, f.pos%2
 	other := 1 - side
-	t.flagReg(node, side).Write(p, true)
-	t.turn[node].Write(p, other)
-	for {
-		if !t.flagReg(node, other).Read(p).(bool) {
-			return
+	switch f.pc {
+	case 0:
+		t.flagReg(node, side).WriteW(p, true)
+		f.pc = 1
+	case 1:
+		t.turn[node].WriteW(p, other)
+		f.pc = 2
+	case 2:
+		if !t.flagReg(node, other).ReadW(p).(bool) {
+			return f.climb()
 		}
-		if t.turn[node].Read(p) != other {
-			return
+		f.pc = 3
+	case 3:
+		if t.turn[node].ReadW(p) != other {
+			return f.climb()
 		}
+		f.pc = 2
 	}
+	return nil, sim.StepPaused
+}
+
+// climb moves past an acquired node: the lock is held at the root.
+func (f *tournamentAcquire) climb() (history.Value, sim.StepStatus) {
+	f.pos /= 2
+	f.pc = 0
+	if f.pos > 1 {
+		return nil, sim.StepPaused
+	}
+	return Locked, sim.StepDone
+}
+
+// Fork implements sim.Frame.
+func (f *tournamentAcquire) Fork() sim.Frame {
+	c := *f
+	return &c
+}
+
+// tournamentRelease is an in-flight release: one flag write per level,
+// from the root (the highest level) down to the leaf's node.
+type tournamentRelease struct {
+	t     *Tournament
+	leaf  int
+	level int
+}
+
+// Step implements sim.Frame.
+func (f *tournamentRelease) Step(p *sim.Proc) (history.Value, sim.StepStatus) {
+	pos := f.leaf >> f.level
+	f.t.flagReg(pos/2, pos%2).WriteW(p, false)
+	if f.level--; f.level >= 0 {
+		return nil, sim.StepPaused
+	}
+	return Unlocked, sim.StepDone
+}
+
+// Fork implements sim.Frame.
+func (f *tournamentRelease) Fork() sim.Frame {
+	c := *f
+	return &c
 }
 
 // acquireReleaseEnv alternates acquire/release per process, derived

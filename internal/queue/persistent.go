@@ -120,27 +120,6 @@ func persistStep(st *qstate, op string, arg history.Value) (next *qstate, resp h
 	}
 }
 
-// Apply implements sim.Object.
-func (q *Persistent) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
-	reg := q.intents[p.ID()]
-	for {
-		st := q.committed.Read(p).(*qstate)
-		next, resp, ok := persistStep(st, inv.Op, inv.Arg)
-		if !ok {
-			// Empty dequeue (or unknown op) linearizes at the read; nothing
-			// to persist.
-			return resp
-		}
-		reg.Write(p, &intent{prev: st, next: next, resp: resp})
-		reg.Flush(p)
-		if q.committed.CompareAndSwap(p, st, next) {
-			reg.Write(p, nil)
-			reg.Flush(p)
-			return resp
-		}
-	}
-}
-
 // persistFrame is one in-flight Persistent operation. pc: 0 = read
 // committed, 1 = write intent, 2 = flush intent, 3 = CAS committed
 // (back to 0 on failure), 4 = clear intent, 5 = flush the clear.
@@ -152,7 +131,7 @@ type persistFrame struct {
 	resp history.Value
 }
 
-// Begin implements sim.Stepped.
+// Begin implements sim.Object.
 func (q *Persistent) Begin(p *sim.Proc, inv sim.Invocation) (sim.Frame, history.Value, sim.StepStatus) {
 	return &persistFrame{q: q, inv: inv}, nil, sim.StepPaused
 }
@@ -166,7 +145,8 @@ func (f *persistFrame) Step(p *sim.Proc) (history.Value, sim.StepStatus) {
 		st := q.committed.ReadW(p).(*qstate)
 		next, resp, ok := persistStep(st, f.inv.Op, f.inv.Arg)
 		if !ok {
-			// See Apply: the empty dequeue linearizes at the read.
+			// The empty dequeue (or an unknown op) linearizes at the read;
+			// nothing to persist.
 			return resp, sim.StepDone
 		}
 		f.in = &intent{prev: st, next: next, resp: resp}

@@ -90,24 +90,6 @@ func (q *Locked) Restore(v any) {
 	q.state.Restore(st.state)
 }
 
-// Apply implements sim.Object.
-func (q *Locked) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
-	q.lock.Acquire(p)
-	st := q.state.Read(p).(*qstate)
-	var resp history.Value
-	switch inv.Op {
-	case "enq":
-		q.state.Write(p, st.enq(inv.Arg))
-		resp = history.OK
-	case "deq":
-		next, v := st.deq()
-		q.state.Write(p, next)
-		resp = v
-	}
-	q.lock.Release(p)
-	return resp
-}
-
 // lockedFrame is one in-flight Locked operation: acquire the embedded
 // Peterson lock (delegating to its continuation frame), read the state
 // register, write the new state, release. pc: 0 = acquiring, 1 = read
@@ -121,7 +103,7 @@ type lockedFrame struct {
 	resp history.Value
 }
 
-// Begin implements sim.Stepped: the first access is the lock acquire's
+// Begin implements sim.Object: the first access is the lock acquire's
 // opening write, so the invocation window runs no object code.
 func (q *Locked) Begin(p *sim.Proc, inv sim.Invocation) (sim.Frame, history.Value, sim.StepStatus) {
 	sub, _, _ := q.lock.Begin(p, sim.Invocation{Op: mutex.OpAcquire})
@@ -148,7 +130,7 @@ func (f *lockedFrame) Step(p *sim.Proc) (history.Value, sim.StepStatus) {
 			f.next, f.resp = st.deq()
 			f.pc = 2
 		default:
-			// Unknown ops skip the write, matching Apply.
+			// Unknown ops skip the write.
 			f.sub, _, _ = q.lock.Begin(p, sim.Invocation{Op: mutex.OpRelease})
 			f.pc = 3
 		}
@@ -204,30 +186,6 @@ func (q *CASQueue) Snapshot() any { return q.state.Snapshot() }
 // Restore implements sim.Snapshottable.
 func (q *CASQueue) Restore(v any) { q.state.Restore(v) }
 
-// Apply implements sim.Object.
-func (q *CASQueue) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
-	for {
-		st := q.state.Read(p).(*qstate)
-		switch inv.Op {
-		case "enq":
-			if q.state.CompareAndSwap(p, st, st.enq(inv.Arg)) {
-				return history.OK
-			}
-		case "deq":
-			next, v := st.deq()
-			if len(st.items) == 0 {
-				// An empty dequeue linearizes at the read; no CAS needed.
-				return v
-			}
-			if q.state.CompareAndSwap(p, st, next) {
-				return v
-			}
-		default:
-			return nil
-		}
-	}
-}
-
 // casQueueFrame is one in-flight CASQueue operation: alternating
 // read/CAS steps until a CAS succeeds. st is the pointer read by the
 // previous step (nil when the next step is the read).
@@ -237,7 +195,7 @@ type casQueueFrame struct {
 	st  *qstate
 }
 
-// Begin implements sim.Stepped.
+// Begin implements sim.Object.
 func (q *CASQueue) Begin(p *sim.Proc, inv sim.Invocation) (sim.Frame, history.Value, sim.StepStatus) {
 	return &casQueueFrame{q: q, inv: inv}, nil, sim.StepPaused
 }

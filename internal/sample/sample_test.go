@@ -35,17 +35,6 @@ func newLinSet() explore.MonitorSet {
 // fingerprint, footprints) via the base register.
 type okReg struct{ r *base.Register }
 
-func (o *okReg) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
-	switch inv.Op {
-	case "write":
-		o.r.Write(p, inv.Arg)
-		return history.OK
-	case "read":
-		return o.r.Read(p)
-	}
-	return nil
-}
-
 func (o *okReg) Footprints() bool                 { return true }
 func (o *okReg) Fingerprint(f *sim.Fingerprinter) { o.r.Fingerprint(f) }
 func (o *okReg) Snapshot() any                    { return o.r.Snapshot() }
@@ -57,7 +46,7 @@ type okRegFrame struct {
 	inv sim.Invocation
 }
 
-// Begin implements sim.Stepped.
+// Begin implements sim.Object.
 func (o *okReg) Begin(p *sim.Proc, inv sim.Invocation) (sim.Frame, history.Value, sim.StepStatus) {
 	switch inv.Op {
 	case "read", "write":
@@ -83,27 +72,6 @@ func (f *okRegFrame) Fork() sim.Frame { return f }
 // pattern for custom session-capable objects).
 type lossyReg struct{ v history.Value }
 
-func (o *lossyReg) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
-	var out history.Value
-	switch inv.Op {
-	case "read":
-		p.Exec("read", func() {
-			p.Access("r", false)
-			out = o.v
-			p.Observe(out)
-		})
-	case "write":
-		p.Exec("write", func() {
-			out = history.OK
-			p.Access("r", true)
-			if p.ID() != 2 {
-				o.v = inv.Arg
-			}
-		})
-	}
-	return out
-}
-
 func (o *lossyReg) Footprints() bool                 { return true }
 func (o *lossyReg) Fingerprint(f *sim.Fingerprinter) { f.Str("r"); f.Val(o.v) }
 func (o *lossyReg) Snapshot() any                    { return o.v }
@@ -115,7 +83,7 @@ type lossyRegFrame struct {
 	inv sim.Invocation
 }
 
-// Begin implements sim.Stepped.
+// Begin implements sim.Object.
 func (o *lossyReg) Begin(p *sim.Proc, inv sim.Invocation) (sim.Frame, history.Value, sim.StepStatus) {
 	switch inv.Op {
 	case "read", "write":

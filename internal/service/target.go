@@ -172,27 +172,6 @@ func TargetNames() []string {
 //slx:norecover the seeded bug is crash-free; the register is modeled durable
 type lossyRegister struct{ v hist.Value }
 
-func (r *lossyRegister) Apply(p *run.Proc, inv run.Invocation) hist.Value {
-	var out hist.Value
-	switch inv.Op {
-	case "read":
-		p.Exec("read", func() {
-			p.Access("r", false)
-			out = r.v
-			p.Observe(out)
-		})
-	case "write":
-		p.Exec("write", func() {
-			out = hist.OK
-			p.Access("r", true)
-			if p.ID() != 2 {
-				r.v = inv.Arg
-			}
-		})
-	}
-	return out
-}
-
 // lossyFrame is one in-flight lossyRegister operation: a single access
 // window. The frame is immutable, so Fork returns the receiver.
 type lossyFrame struct {
@@ -200,8 +179,8 @@ type lossyFrame struct {
 	inv run.Invocation
 }
 
-// Begin implements run.Stepped. Unknown operations perform no access and
-// complete in the invocation window, matching Apply's empty switch arm.
+// Begin implements run.Object. Unknown operations perform no access and
+// complete in the invocation window.
 func (r *lossyRegister) Begin(p *run.Proc, inv run.Invocation) (run.Frame, hist.Value, run.StepStatus) {
 	switch inv.Op {
 	case "read", "write":
@@ -252,37 +231,6 @@ const blastCapacity = 3
 //slx:norecover the blast scenario is crash-free; all state is modeled durable
 type blastQueue struct{ items []hist.Value }
 
-func (q *blastQueue) Apply(p *run.Proc, inv run.Invocation) hist.Value {
-	var out hist.Value
-	switch inv.Op {
-	case "enq":
-		p.Exec("reserve", func() {
-			p.Access("q", true)
-		})
-		p.Exec("publish", func() {
-			out = hist.OK
-			p.Access("q", true)
-			q.items = append(q.items, inv.Arg)
-			if len(q.items) > blastCapacity {
-				// The seeded bug: silently evict the oldest element.
-				q.items = q.items[1:]
-			}
-		})
-	case "deq":
-		p.Exec("deq", func() {
-			p.Access("q", true)
-			if len(q.items) == 0 {
-				out = "empty"
-			} else {
-				out = q.items[0]
-				q.items = q.items[1:]
-			}
-			p.Observe(out)
-		})
-	}
-	return out
-}
-
 // blastFrame is one in-flight blastQueue operation: reserve+publish for
 // enq, a single window for deq.
 type blastFrame struct {
@@ -291,7 +239,7 @@ type blastFrame struct {
 	pc  int
 }
 
-// Begin implements run.Stepped.
+// Begin implements run.Object.
 func (q *blastQueue) Begin(p *run.Proc, inv run.Invocation) (run.Frame, hist.Value, run.StepStatus) {
 	switch inv.Op {
 	case "enq", "deq":
@@ -390,38 +338,6 @@ func (q *durQueue) deq(p *run.Proc) hist.Value {
 	return out
 }
 
-func (q *durQueue) Apply(p *run.Proc, inv run.Invocation) hist.Value {
-	var out hist.Value
-	switch inv.Op {
-	case "enq":
-		id := p.ID()
-		p.Exec("log", func() {
-			p.Access(durLogName(id), true)
-			q.logVol[id] = &durRec{arg: inv.Arg}
-		})
-		p.Exec("log-flush", func() {
-			p.Access(durLogName(id), true)
-			q.logDur[id] = q.logVol[id]
-		})
-		p.Exec("apply", func() {
-			p.Access("q", true)
-			q.items = append(q.items, inv.Arg)
-		})
-		p.Exec("log-clear", func() {
-			p.Access(durLogName(id), true)
-			q.logVol[id] = nil
-		})
-		p.Exec("clear-flush", func() {
-			p.Access(durLogName(id), true)
-			q.logDur[id] = nil
-			out = hist.OK
-		})
-	case "deq":
-		p.Exec("deq", func() { out = q.deq(p) })
-	}
-	return out
-}
-
 // durFrame is one in-flight durQueue operation. pc (enq): 0 = write
 // log, 1 = flush log, 2 = apply, 3 = clear log, 4 = flush the clear;
 // deq is a single window.
@@ -431,7 +347,7 @@ type durFrame struct {
 	pc  int
 }
 
-// Begin implements run.Stepped.
+// Begin implements run.Object.
 func (q *durQueue) Begin(p *run.Proc, inv run.Invocation) (run.Frame, hist.Value, run.StepStatus) {
 	switch inv.Op {
 	case "enq", "deq":

@@ -109,7 +109,7 @@ func (f *Fingerprinter) Poisoned() bool { return f.poisoned }
 //     objects: each base object's Fingerprint method, in a fixed
 //     order), such that two instances with equal encodings behave
 //     identically under identical future schedules, and
-//  2. every value Apply reads from shared state into process-local
+//  2. every value its operations read from shared state into process-local
 //     variables is declared to the executing process via Proc.Observe
 //     (base-object read operations do this automatically), so the
 //     runtime can fold mid-operation local state into the fingerprint.

@@ -18,22 +18,26 @@ func newFPObject() *fpObject {
 	return &fpObject{a: base.NewRegister("a", 0), b: base.NewRegister("b", 0)}
 }
 
-func (o *fpObject) Apply(p *Proc, inv Invocation) history.Value {
+// Begin implements Object: each operation is one access window on the
+// process's own register.
+func (o *fpObject) Begin(p *Proc, inv Invocation) (Frame, history.Value, StepStatus) {
 	switch inv.Op {
-	case "write":
-		if p.ID() == 1 {
-			o.a.Write(p, inv.Arg)
-		} else {
-			o.b.Write(p, inv.Arg)
-		}
-		return history.OK
-	case "read":
-		if p.ID() == 1 {
-			return o.a.Read(p)
-		}
-		return o.b.Read(p)
+	case "write", "read":
+		return ObjectFunc(o.access).Begin(p, inv)
 	}
-	return nil
+	return nil, nil, StepDone
+}
+
+func (o *fpObject) access(p *Proc, inv Invocation) history.Value {
+	r := o.a
+	if p.ID() != 1 {
+		r = o.b
+	}
+	if inv.Op == "read" {
+		return r.ReadW(p)
+	}
+	r.WriteW(p, inv.Arg)
+	return history.OK
 }
 
 func (o *fpObject) Fingerprint(f *Fingerprinter) {
@@ -152,18 +156,33 @@ type sharedRegObject struct {
 	r *base.Register
 }
 
-func (o *sharedRegObject) Apply(p *Proc, inv Invocation) history.Value {
+// Begin implements Object: both operations take one access window.
+func (o *sharedRegObject) Begin(p *Proc, inv Invocation) (Frame, history.Value, StepStatus) {
 	switch inv.Op {
-	case "read":
-		v := o.r.Read(p)
-		p.Block()
-		return v
-	case "write":
-		o.r.Write(p, inv.Arg)
-		return history.OK
+	case "read", "write":
+		return &sharedRegFrame{o: o, inv: inv}, nil, StepPaused
 	}
-	return nil
+	return nil, nil, StepDone
 }
+
+// sharedRegFrame is one in-flight sharedRegObject operation.
+type sharedRegFrame struct {
+	o   *sharedRegObject
+	inv Invocation
+}
+
+// Step implements Frame: a read parks the process within its window.
+func (f *sharedRegFrame) Step(p *Proc) (history.Value, StepStatus) {
+	if f.inv.Op == "read" {
+		f.o.r.ReadW(p)
+		return nil, StepBlocked
+	}
+	f.o.r.WriteW(p, f.inv.Arg)
+	return history.OK, StepDone
+}
+
+// Fork implements Frame.
+func (f *sharedRegFrame) Fork() Frame { return f }
 
 func (o *sharedRegObject) Fingerprint(f *Fingerprinter) { o.r.Fingerprint(f) }
 

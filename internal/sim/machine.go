@@ -13,8 +13,11 @@ const (
 	// StepDone: the operation completed; the accompanying value is its
 	// response, recorded in the history within the same window.
 	StepDone
-	// StepBlocked: the implementation parks the process forever (the
-	// continuation-runtime equivalent of Proc.Block).
+	// StepBlocked: the implementation parks the process forever: the
+	// current operation never completes and the process never takes
+	// another step. It models implementations whose automata stop
+	// enabling actions (e.g. the trivial implementation I_t in the
+	// proof of Theorem 4.9).
 	StepBlocked
 )
 
@@ -32,44 +35,16 @@ func (s StepStatus) String() string {
 	}
 }
 
-// Stepped is the continuation hook of the incremental execution engine:
-// an Object that can run each operation as an explicit state machine,
-// one resumable step closure per scheduler grant, instead of blocking a
-// live goroutine inside Apply. Sessions execute exclusively through
-// this hook — a direct dispatch loop with no goroutines, no channel
-// handoffs, and no rebuild-by-replay on Restore.
-//
-// Begin is called within the invocation window (the granted step that
-// records the invocation event). It must run exactly the code Apply
-// would run before its first base-object access: composite-level local
-// setup, including any Proc.Observe calls Apply performs before the
-// first access, but no base-object access (nothing may call Proc.Access
-// — the invocation window has no footprint). It returns
-//
-//   - (frame, _, StepPaused) when the operation has base-object steps
-//     left: each subsequent grant calls frame.Step once;
-//   - (nil, val, StepDone) when the operation performs no base-object
-//     access at all (val is the response, recorded in the same window);
-//   - (nil, _, StepBlocked) when the operation blocks immediately.
-//
-// The Stepped machine and the blocking Apply must describe the same
-// algorithm step for step: sim.Run (and WithReplayExecution above it)
-// executes Apply and serves as the parity oracle for the continuation
-// runtime. The window rule for translating Apply bodies: Begin gets the
-// code before the first access; Step k gets the k-th access plus the
-// local code that follows it up to the next access or the return.
-type Stepped interface {
-	Object
-	Begin(p *Proc, inv Invocation) (Frame, history.Value, StepStatus)
-}
-
 // Frame is one in-flight operation of one process: the explicit
-// continuation of everything Apply would have kept on a goroutine
-// stack. Step executes the operation's next atomic step — exactly one
-// base-object access through the usual Proc hooks (Access/Observe, via
-// the internal/base *W window methods) plus the trailing local code up
-// to the next access — and reports whether the operation paused again,
-// completed (returning its response), or blocked forever.
+// continuation of the operation's local state (program counter, loop
+// indices, values read so far). Step executes the operation's next
+// atomic step — exactly one base-object access through the usual Proc
+// hooks (Access/Observe, via the internal/base *W window methods) plus
+// the trailing local code up to the next access — and reports whether
+// the operation paused again, completed (returning its response), or
+// blocked forever. This is the window rule: Object.Begin runs the code
+// before the first access, and Step k runs the k-th access plus the
+// local code that follows it up to the next access or the return.
 //
 // Fork returns a frame equivalent to the receiver for Session.Mark and
 // Session.Restore: stepping the original must not affect the fork and

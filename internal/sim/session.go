@@ -24,13 +24,13 @@ import (
 //     single rewind), so Restore must copy what it cannot treat as
 //     immutable, and Snapshot must return data later mutations of the
 //     object cannot reach.
-//  3. State local to one in-flight operation lives in its Frame (see
-//     Stepped), not in the object: the Session forks frames on Mark and
+//  3. State local to one in-flight operation lives in its Frame, not
+//     in the object: the Session forks frames on Mark and
 //     Restore, so anything a frame reaches by pointer must either be
 //     covered by Snapshot/Restore or be deep-copied by Frame.Fork.
-//  4. Apply (and the equivalent Stepped machine) is deterministic given
-//     the invocation and the observed values (which the simulator
-//     already requires for replay).
+//  4. Begin and every Frame.Step are deterministic given the
+//     invocation and the observed values (which the simulator already
+//     requires for replay).
 //
 // Unlike Fingerprintable, pointer identity is no obstacle: a snapshot
 // may hold pointers to immutable records (the CAS idiom), since Restore
@@ -45,30 +45,11 @@ type Snapshottable interface {
 	Restore(any)
 }
 
-// SessionGated is optionally implemented alongside Snapshottable by
-// objects whose snapshot support depends on runtime composition (e.g. a
-// TM with a pluggable snapshot component): Snapshotting() == false
-// vetoes incremental execution and the exploration engine falls back to
-// from-root replay, exactly as if the hook were absent.
-type SessionGated interface {
-	Snapshotting() bool
-}
-
-// CanSnapshot reports whether an object supports session execution: it
-// implements both Snapshottable and Stepped (the continuation runtime
-// executes exclusively through Stepped frames) and does not veto
-// sessions via SessionGated.
+// CanSnapshot reports whether an object supports session execution,
+// that is, whether it implements Snapshottable.
 func CanSnapshot(o Object) bool {
-	if _, ok := o.(Snapshottable); !ok {
-		return false
-	}
-	if _, ok := o.(Stepped); !ok {
-		return false
-	}
-	if g, ok := o.(SessionGated); ok && !g.Snapshotting() {
-		return false
-	}
-	return true
+	_, ok := o.(Snapshottable)
+	return ok
 }
 
 // RewindableEnv is the optional fast-rewind hook for environments used
@@ -92,8 +73,7 @@ type SessionConfig struct {
 	// Procs is the number of processes n (1-based ids 1..n).
 	Procs int
 	// Object is the implementation under test; it must implement
-	// Snapshottable and Stepped (see CanSnapshot). The session owns and
-	// mutates it.
+	// Snapshottable (see CanSnapshot). The session owns and mutates it.
 	Object Object
 	// NewEnv creates an environment instance. A factory rather than an
 	// instance: when the environment does not implement RewindableEnv,
@@ -116,11 +96,11 @@ type SessionConfig struct {
 // in O(1) simulator steps instead of replaying every prefix from the
 // root.
 //
-// The session runs no goroutines: each process's in-flight operation is
-// an explicit continuation Frame (see Stepped), and a decision is
-// dispatched as a direct call into the object's state machine. Restore
-// is therefore a plain struct copy — object snapshot, per-process
-// control state, forked frames — with zero re-executed steps.
+// Each process's in-flight operation is an explicit continuation Frame,
+// and a decision is dispatched as a direct call into the object's state
+// machine, exactly as under Run. Restore is therefore a plain struct
+// copy — object snapshot, per-process control state, forked frames —
+// with zero re-executed steps.
 //
 // Sessions are not safe for concurrent use; marks may only be restored
 // on the path that created them (a mark is a prefix of the current
@@ -151,68 +131,16 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 		Object:      cfg.Object,
 		Fingerprint: cfg.Fingerprint,
 	}, cfg.NewEnv())
-	r.enableCtl()
-	r.direct = true
-	r.stepped = cfg.Object.(Stepped)
-	r.frames = make([]Frame, cfg.Procs+1)
-	r.next = make([]Invocation, cfg.Procs+1)
-	r.hasNext = make([]bool, cfg.Procs+1)
 	s := &Session{rt: r, obj: obj, newEnv: cfg.NewEnv}
 	s.renv, _ = r.env.(RewindableEnv)
-	for id := 1; id <= cfg.Procs; id++ {
-		r.procs[id] = &Proc{id: id, n: cfg.Procs, rt: r}
-	}
-	// Consult the environment for each process's first invocation, one
-	// process at a time so initial readiness is deterministic (mirrors
-	// sim.Run's spawn order: process id sees the statuses of 1..id-1).
-	for id := 1; id <= cfg.Procs; id++ {
-		r.consultEnv(id)
-	}
+	r.start()
 	return s, nil
 }
 
-// consultEnv asks the environment for process id's next invocation and
-// records the outcome in the per-process control state. The process's
-// own status must still be its pre-consultation value (ready mid-run,
-// unset at startup), matching what the goroutine runtime's view shows.
-func (r *runtime) consultEnv(id int) {
-	r.envCalls++
-	if inv, ok := r.env.Next(id, r.sessionView()); ok {
-		r.next[id] = inv
-		r.hasNext[id] = true
-		r.status[id] = statusReady
-	} else {
-		r.hasNext[id] = false
-		r.status[id] = statusIdle
-	}
-}
-
-// sessionView rebuilds the runtime's reusable view. The view and its
-// slices are valid only until the next session operation; environments
-// and LazyArgs must not retain them.
-func (r *runtime) sessionView() *View {
-	v := &r.vw
-	v.H = r.h[:len(r.h):len(r.h)]
-	v.Steps = r.steps
-	v.StepsBy = append(v.StepsBy[:0], r.stepsBy...)
-	v.Ready = v.Ready[:0]
-	v.Idle = v.Idle[:0]
-	v.Blocked = v.Blocked[:0]
-	v.Crashed = v.Crashed[:0]
-	for id := 1; id <= r.cfg.Procs; id++ {
-		switch r.status[id] {
-		case statusReady:
-			v.Ready = append(v.Ready, id)
-		case statusIdle:
-			v.Idle = append(v.Idle, id)
-		case statusBlocked:
-			v.Blocked = append(v.Blocked, id)
-		case statusCrashed:
-			v.Crashed = append(v.Crashed, id)
-		}
-	}
-	return v
-}
+// View returns the view of the current configuration, the one a
+// scheduler would be shown. Like the view passed to schedulers, it is
+// rebuilt in place: valid only until the next session operation.
+func (s *Session) View() *View { return s.rt.view() }
 
 // StepInfo reports what one Extend did.
 type StepInfo struct {
@@ -240,6 +168,13 @@ func (s *Session) Extend(d Decision) (StepInfo, error) {
 	if s.closed {
 		return StepInfo{}, errors.New("sim: session is closed")
 	}
+	if d.Recover && s.renv == nil {
+		// Restore's fallback environment rewind reconstructs consultation
+		// points from response events, which recovery consultations do
+		// not produce; exploration routes such environments to replay
+		// execution instead.
+		return StepInfo{}, fmt.Errorf("sim: recover under a session requires a rewindable environment (%T lacks EnvSnapshot/EnvRestore)", r.env)
+	}
 	evBefore := len(r.h)
 	stepsBefore := r.steps
 	if err := r.extendDirect(d); err != nil {
@@ -252,154 +187,6 @@ func (s *Session) Extend(d Decision) (StepInfo, error) {
 	}, nil
 }
 
-// extendDirect validates and dispatches one scheduler decision through
-// the continuation runtime: the session-mode equivalent of
-// applyDecision, with the granted window executed as a direct call into
-// the object's state machine instead of a goroutine handoff.
-func (r *runtime) extendDirect(d Decision) error {
-	if d.Proc < 1 || d.Proc > r.cfg.Procs {
-		return fmt.Errorf("sim: scheduler chose invalid process %d", d.Proc)
-	}
-	id := d.Proc
-	if d.Crash && d.Recover {
-		return fmt.Errorf("sim: decision cannot both crash and recover process %d", id)
-	}
-	if d.Crash {
-		if r.status[id] == statusCrashed {
-			return fmt.Errorf("sim: scheduler crashed process %d twice", id)
-		}
-		// The crashed process keeps its frame and pending invocation:
-		// they are part of the configuration (fingerprints include the
-		// pending operations of crashed processes), they just never run —
-		// unless a later recover decision discards them.
-		r.record(history.Crash(id))
-		r.status[id] = statusCrashed
-		if r.recObj != nil {
-			r.recObj.CrashVolatile()
-		}
-		r.lastAccess = Access{}
-		if r.track {
-			r.lastAccess = Access{Known: true, Crash: true}
-		}
-		return nil
-	}
-	if d.Recover {
-		if r.status[id] != statusCrashed {
-			return fmt.Errorf("sim: scheduler recovered non-crashed process %d", id)
-		}
-		if _, ok := r.env.(RewindableEnv); !ok {
-			// The fallback environment rewind reconstructs consultation
-			// points from response events, which recovery consultations do
-			// not produce; exploration routes such environments to replay
-			// execution instead.
-			return fmt.Errorf("sim: recover under a session requires a rewindable environment (%T lacks EnvSnapshot/EnvRestore)", r.env)
-		}
-		r.record(history.Recover(id))
-		r.noteRecover(id)
-		r.fpPending[id] = Invocation{}
-		r.fpHasPend[id] = false
-		r.fpOpSteps[id] = 0
-		if r.fpTrack {
-			r.fpObs[id] = history.DigestSeed()
-		}
-		// The in-flight frame and the chosen-but-uninvoked next invocation
-		// are volatile process state: both die with the crash.
-		r.frames[id] = nil
-		r.hasNext[id] = false
-		var rec Frame
-		if r.recObj != nil {
-			rec = r.recObj.RecoverFrame()
-		}
-		// Set unconditionally: the process may have crashed during a
-		// previous recovery routine, leaving the flag true.
-		r.recovering[id] = rec != nil
-		if rec != nil {
-			r.frames[id] = rec
-			r.status[id] = statusReady
-		} else {
-			// No recovery routine: consult the environment immediately,
-			// within the recover decision, mirroring the goroutine
-			// runtime's respawn handshake.
-			r.consultEnv(id)
-		}
-		r.lastAccess = Access{}
-		if r.track {
-			r.lastAccess = Access{Known: true, Recover: true}
-		}
-		return nil
-	}
-	if r.status[id] != statusReady {
-		return fmt.Errorf("sim: scheduler stepped non-ready process %d", id)
-	}
-	r.steps++
-	r.stepsBy[id]++
-	// Incremented before the window so a response recorded within it
-	// (which ends the operation) resets the counter to zero.
-	r.fpOpSteps[id]++
-	r.beginWindow()
-	evBefore := len(r.h)
-	p := r.procs[id]
-	var val history.Value
-	var st StepStatus
-	if f := r.frames[id]; f != nil {
-		val, st = f.Step(p)
-		if st != StepPaused {
-			r.frames[id] = nil
-		}
-	} else {
-		// Invocation window: resolve the argument, record the event, and
-		// run the operation's pre-first-access code via Begin.
-		inv := r.next[id]
-		r.hasNext[id] = false
-		if la, lazy := inv.Arg.(LazyArg); lazy {
-			inv.Arg = la(r.sessionView())
-			r.lazyStep = true
-			r.fpPoisoned = true
-		}
-		r.record(history.Event{
-			Kind: history.KindInvoke, Proc: id,
-			Op: inv.Op, Obj: inv.Obj, Arg: inv.Arg,
-		})
-		var f Frame
-		f, val, st = r.stepped.Begin(p, inv)
-		if st == StepPaused {
-			r.frames[id] = f
-		}
-	}
-	switch st {
-	case StepPaused:
-		// The operation pauses at its next step boundary; the process
-		// stays ready.
-	case StepBlocked:
-		r.status[id] = statusBlocked
-	case StepDone:
-		if r.recovering != nil && r.recovering[id] {
-			// A completed recovery routine records no response — recovery
-			// is not an operation — but the next-environment consultation
-			// still happens within the same window, exactly as under the
-			// goroutine runtime's respawn path.
-			r.recoveryDone(id)
-			r.consultEnv(id)
-			break
-		}
-		// Response and next-environment consultation happen within the
-		// same window, exactly as under the goroutine runtime.
-		pend := r.fpPending[id]
-		r.record(history.Event{
-			Kind: history.KindResponse, Proc: id,
-			Op: pend.Op, Obj: pend.Obj, Val: val,
-		})
-		r.consultEnv(id)
-	default:
-		return fmt.Errorf("sim: object %T returned invalid step status %d", r.cfg.Object, st)
-	}
-	r.lastAccess = Access{}
-	if r.track {
-		r.lastAccess = r.endWindow(evBefore)
-	}
-	return nil
-}
-
 // Ready returns the sorted ids of processes currently awaiting a step.
 func (s *Session) Ready() []int {
 	return s.ReadyAppend(nil)
@@ -410,26 +197,14 @@ func (s *Session) Ready() []int {
 // readiness once per simulated step (the sampling engine's schedule
 // loop) reuse one buffer across calls instead of allocating per step.
 func (s *Session) ReadyAppend(dst []int) []int {
-	r := s.rt
-	for id := 1; id <= r.cfg.Procs; id++ {
-		if r.status[id] == statusReady {
-			dst = append(dst, id)
-		}
-	}
-	return dst
+	return s.rt.appendStatus(dst, statusReady)
 }
 
 // CrashedAppend appends the sorted ids of currently crashed processes to
 // dst and returns the extended slice: the candidates for a recover
 // decision, mirroring ReadyAppend for step decisions.
 func (s *Session) CrashedAppend(dst []int) []int {
-	r := s.rt
-	for id := 1; id <= r.cfg.Procs; id++ {
-		if r.status[id] == statusCrashed {
-			dst = append(dst, id)
-		}
-	}
-	return dst
+	return s.rt.appendStatus(dst, statusCrashed)
 }
 
 // History returns the external history of the current configuration.
@@ -489,8 +264,8 @@ type procMark struct {
 	recovering bool
 }
 
-// Mark snapshots the current configuration. Marks are cheap (no
-// goroutine state exists to capture) and poolable: Release returns one
+// Mark snapshots the current configuration. Marks are cheap (plain
+// copies of control state plus forked frames) and poolable: Release returns one
 // to the session for reuse.
 func (s *Session) Mark() *Mark {
 	r := s.rt

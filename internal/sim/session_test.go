@@ -30,29 +30,6 @@ func newSnapObject(n int) *snapObject {
 	}
 }
 
-func (o *snapObject) Apply(p *Proc, inv Invocation) history.Value {
-	switch inv.Op {
-	case "mix":
-		o.reg.Write(p, inv.Arg)
-		v := o.ctr.Add(p, 1)
-		if o.tas.TestAndSet(p) {
-			old := o.cas.Read(p)
-			o.cas.CompareAndSwap(p, old, v)
-		} else {
-			o.snap.Update(p, p.ID()-1, v)
-		}
-		sn := o.snap.Scan(p)
-		sum := 0
-		for _, x := range sn {
-			sum += x.(int)
-		}
-		return sum*100 + v
-	case "read":
-		return o.reg.Read(p)
-	}
-	return nil
-}
-
 func (o *snapObject) Fingerprint(f *Fingerprinter) {
 	o.reg.Fingerprint(f)
 	o.cas.Fingerprint(f)
@@ -80,7 +57,7 @@ func (o *snapObject) Restore(v any) {
 }
 
 // snapFrame is one in-flight snapObject operation, branching on the
-// test-and-set outcome exactly as Apply does.
+// test-and-set outcome.
 type snapFrame struct {
 	o   *snapObject
 	inv Invocation
@@ -89,7 +66,7 @@ type snapFrame struct {
 	old history.Value
 }
 
-// Begin implements Stepped.
+// Begin implements Object.
 func (o *snapObject) Begin(p *Proc, inv Invocation) (Frame, history.Value, StepStatus) {
 	switch inv.Op {
 	case "mix", "read":
@@ -295,20 +272,6 @@ func viewEnv() Environment {
 // test-and-set, "release" clears it.
 type tasObject struct{ t *base.TAS }
 
-func (o *tasObject) Apply(p *Proc, inv Invocation) history.Value {
-	switch inv.Op {
-	case "try":
-		if o.t.TestAndSet(p) {
-			return "won"
-		}
-		return "lost"
-	case "release":
-		o.t.Reset(p)
-		return "ok"
-	}
-	return nil
-}
-
 func (o *tasObject) Fingerprint(f *Fingerprinter) { o.t.Fingerprint(f) }
 func (o *tasObject) Snapshot() any                { return o.t.Snapshot() }
 func (o *tasObject) Restore(v any)                { o.t.Restore(v) }
@@ -319,7 +282,7 @@ type tasFrame struct {
 	inv Invocation
 }
 
-// Begin implements Stepped.
+// Begin implements Object.
 func (o *tasObject) Begin(p *Proc, inv Invocation) (Frame, history.Value, StepStatus) {
 	switch inv.Op {
 	case "try", "release":
@@ -394,14 +357,8 @@ func TestSessionLazyArgPoisonRestored(t *testing.T) {
 	}
 }
 
-// gatedObject vetoes snapshots at runtime despite having the methods.
-type gatedObject struct{ snapObject }
-
-func (g *gatedObject) Snapshotting() bool { return false }
-
 // TestNewSessionRejects pins the constructor contract: objects without
-// the hook — or vetoing it via SessionGated — are rejected, as are
-// missing environments.
+// the hook are rejected, as are missing environments.
 func TestNewSessionRejects(t *testing.T) {
 	plain := ObjectFunc(func(p *Proc, inv Invocation) history.Value { return nil })
 	env := func() Environment { return Script(nil) }
@@ -410,14 +367,6 @@ func TestNewSessionRejects(t *testing.T) {
 	}
 	if CanSnapshot(plain) {
 		t.Error("CanSnapshot must be false without the hook")
-	}
-	g := &gatedObject{}
-	g.snapObject = *newSnapObject(1)
-	if CanSnapshot(g) {
-		t.Error("CanSnapshot must honor the SessionGated veto")
-	}
-	if _, err := NewSession(SessionConfig{Procs: 1, Object: g, NewEnv: env}); err == nil {
-		t.Error("SessionGated veto must be rejected")
 	}
 	if _, err := NewSession(SessionConfig{Procs: 1, Object: newSnapObject(1)}); err == nil {
 		t.Error("missing NewEnv must be rejected")

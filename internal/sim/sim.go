@@ -1,23 +1,24 @@
 // Package sim implements the asynchronous shared-memory system of the
 // paper's Section 2 as a deterministic, scheduler-driven simulator.
 //
-// Run executes each of the n processes as a goroutine. Before every
-// atomic step — an invocation or a base-object operation — the process
-// blocks until the scheduler grants it a step; the scheduler therefore
-// plays exactly the role of the paper's external scheduler ("an
-// external entity ... over which processes have no control"). Because
-// grants are serialized by the runtime, a run is fully determined by
-// the schedule (the sequence of scheduler decisions) for deterministic
-// algorithms and environments, which makes replay and adversarial
-// probing possible: a configuration is represented by the schedule
-// prefix that produced it.
+// Each operation of the object under test is an explicit continuation
+// state machine (see Object and Frame), and the runtime dispatches every
+// scheduler decision as a direct call into it: before every atomic step
+// — an invocation or a base-object operation — the scheduler decides
+// which process runs, and only that process's next window executes. The
+// scheduler therefore plays exactly the role of the paper's external
+// scheduler ("an external entity ... over which processes have no
+// control"). A run is fully determined by the schedule (the sequence of
+// scheduler decisions) for deterministic algorithms and environments,
+// which makes replay and adversarial probing possible: a configuration
+// is represented by the schedule prefix that produced it.
 //
-// Session executes the same model without goroutines: objects
-// implementing Stepped run each operation as an explicit continuation
-// state machine (one resumable step closure per grant) driven by a
-// direct dispatch loop, which makes snapshot/restore a plain struct
-// copy and the exploration hot loop allocation-free. Run remains the
-// parity oracle for the continuation runtime.
+// Run drives one execution from the initial configuration to the end of
+// a schedule. Session drives the same runtime incrementally, one
+// decision at a time, and rewinds it with Mark/Restore, which are plain
+// struct copies because every in-flight operation lives in a Frame.
+// Fresh-runtime replay of a prefix (Run, or a new Session per prefix)
+// is the independent oracle for Mark/Restore.
 //
 // The runtime records the external history (invocations, responses, crash
 // events) exactly as defined in internal/history, along with per-event step
@@ -27,20 +28,12 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/history"
 )
 
 // DefaultMaxSteps bounds a run when Config.MaxSteps is zero.
 const DefaultMaxSteps = 10000
-
-// Sentinel panics used internally to unwind process goroutines. They are
-// recovered by the runtime; algorithm code must never recover them.
-var (
-	errHalted  = errors.New("sim: process halted (run ended or crashed)")
-	errBlocked = errors.New("sim: process blocked forever by implementation")
-)
 
 // Invocation describes an operation a process invokes on the object under
 // test.
@@ -60,25 +53,56 @@ type Invocation struct {
 type LazyArg func(v *View) history.Value
 
 // Object is a shared-object implementation under test (the paper's
-// implementation I = {I_1, ..., I_n}).
+// implementation I = {I_1, ..., I_n}), written as a continuation state
+// machine: each operation is one resumable Frame, stepped once per
+// scheduler grant (see Frame for the window rule).
 //
-// Apply executes one operation on behalf of process p, performing every
-// atomic shared-memory access through p (one call to p.Exec per base-object
-// step), and returns the response value. Apply must not block on anything
-// other than p.Exec, and must not spawn goroutines that touch shared state.
+// Begin is called within the invocation window (the granted step that
+// records the invocation event). It runs the operation's local code up
+// to its first base-object access — composite-level local setup,
+// including any Proc.Observe calls that steer that setup, but no
+// base-object access (nothing may call Proc.Access: the invocation
+// window has no footprint). It returns
+//
+//   - (frame, _, StepPaused) when the operation has base-object steps
+//     left: each subsequent grant calls frame.Step once;
+//   - (nil, val, StepDone) when the operation performs no base-object
+//     access at all (val is the response, recorded in the same window);
+//   - (nil, _, StepBlocked) when the operation blocks immediately.
 type Object interface {
-	Apply(p *Proc, inv Invocation) history.Value
+	Begin(p *Proc, inv Invocation) (Frame, history.Value, StepStatus)
 }
 
-// ObjectFunc adapts a function to Object.
+// ObjectFunc adapts a function to Object as a one-window operation: the
+// invocation window runs no object code, and the next grant to the
+// process calls the function once, inside that granted window, and
+// records its result as the response. The function may perform any
+// number of accesses, which together form one atomic step.
 type ObjectFunc func(p *Proc, inv Invocation) history.Value
 
-// Apply implements Object.
-func (f ObjectFunc) Apply(p *Proc, inv Invocation) history.Value { return f(p, inv) }
+// Begin implements Object.
+func (f ObjectFunc) Begin(p *Proc, inv Invocation) (Frame, history.Value, StepStatus) {
+	return &funcFrame{f: f, inv: inv}, nil, StepPaused
+}
+
+// funcFrame is an ObjectFunc operation awaiting its window; it never
+// mutates, so Fork returns the receiver.
+type funcFrame struct {
+	f   ObjectFunc
+	inv Invocation
+}
+
+// Step implements Frame.
+func (fr *funcFrame) Step(p *Proc) (history.Value, StepStatus) {
+	return fr.f(p, fr.inv), StepDone
+}
+
+// Fork implements Frame.
+func (fr *funcFrame) Fork() Frame { return fr }
 
 // Footprinted is the opt-in footprint hook for partial-order reduction:
 // an Object implementing it (with Footprints returning true) promises
-// that every access Apply makes to state shared between processes is
+// that every access its operations make to state shared between processes is
 // performed through base objects that declare the access to the
 // executing process (internal/base objects do this automatically via
 // Proc.Access), and that any other cross-process state it keeps is
@@ -162,13 +186,17 @@ func (d Decision) String() string {
 // Scheduler picks the next decision given the current view. Returning
 // ok=false ends the run. Next must only name processes in v.Ready (for
 // steps), non-crashed processes (for crashes), or crashed processes
-// (for recoveries).
+// (for recoveries). The view is the runtime's reusable one: it and its
+// slices are valid only during the call, so a scheduler that keeps
+// anything across calls must copy it.
 type Scheduler interface {
 	Next(v *View) (d Decision, ok bool)
 }
 
-// View is a read-only snapshot of the run passed to schedulers and
-// environments. Callers must not mutate any field.
+// View is a read-only snapshot of the run passed to schedulers,
+// environments and LazyArgs. The runtime rebuilds one View in place
+// before each call, so it is valid only during the call; callers must
+// not mutate or retain it or its slices.
 type View struct {
 	// H is the external history so far.
 	H history.History
@@ -322,19 +350,13 @@ const (
 	statusCrashed
 )
 
-// Proc is the per-process handle passed to Object.Apply. It implements
-// base.Stepper.
+// Proc is the per-process handle passed to Object.Begin and Frame.Step:
+// the executing process's identity plus the per-window hooks (Access,
+// Observe) through which its step declares what it touched and read.
 type Proc struct {
 	id int
 	n  int
 	rt *runtime
-
-	grant chan struct{}
-	sync  chan procStatus
-	dead  chan struct{}
-	// halt is per-process so a Session.Restore can unwind one process's
-	// goroutine without disturbing the others.
-	halt chan struct{}
 }
 
 // ID returns the 1-based process identifier.
@@ -343,26 +365,20 @@ func (p *Proc) ID() int { return p.id }
 // N returns the total number of processes in the system.
 func (p *Proc) N() int { return p.n }
 
-// Exec performs op as one atomic step: it blocks until the scheduler grants
-// this process a step, then runs op. desc describes the step for tracing.
-// Exec only exists under the goroutine runtime (sim.Run); continuation
-// sessions dispatch Stepped frames directly and never block, so an
-// object stepping through Exec inside a session is a contract violation.
+// Exec is a leftover of the blocking object form, which no runtime
+// executes any more: the engine only calls Object.Begin and Frame.Step,
+// which run inside an already granted window.
+//
+// Deprecated: perform accesses directly in Begin/Step windows.
 func (p *Proc) Exec(desc string, op func()) {
-	_ = desc
-	if p.rt.direct {
-		panic("sim: Proc.Exec called inside a continuation session; Stepped objects must perform accesses in Begin/Step windows")
-	}
-	p.yield(statusReady)
-	p.awaitGrant()
-	op()
+	panic("sim: Proc.Exec called inside a continuation session; Stepped objects must perform accesses in Begin/Step windows")
 }
 
 // Access declares the base-object footprint of the current granted step:
 // the step read (write=false) or mutated (write=true) the base object
 // named obj. Base objects (internal/base) call it on behalf of their
-// operations; an implementation whose Apply touches shared state through
-// its own steps must declare them itself to participate in footprint
+// operations; an implementation whose steps touch shared state through
+// its own code must declare them itself to participate in footprint
 // tracking (see Footprinted). Access must only be called within a
 // granted step's window; it is a no-op when the run's object has not
 // opted into tracking.
@@ -403,26 +419,9 @@ func (p *Proc) Observe(v history.Value) {
 	r.fpObs[p.id] = r.fpEnc.Sum()
 }
 
-// Block parks the process forever: the current operation never completes
-// and the process never takes another step. It models implementations whose
-// automata stop enabling actions (e.g. the trivial implementation I_t in
-// the proof of Theorem 4.9). Block does not return.
-func (p *Proc) Block() {
-	panic(errBlocked)
-}
-
-func (p *Proc) yield(st procStatus) {
-	p.sync <- st
-}
-
-func (p *Proc) awaitGrant() {
-	select {
-	case <-p.grant:
-	case <-p.halt:
-		panic(errHalted)
-	}
-}
-
+// runtime is the simulator core shared by Run and Session: per-process
+// control state plus a direct dispatch of each decision into the
+// object's continuation frames.
 type runtime struct {
 	cfg   Config
 	env   Environment // current environment (a Session.Restore swaps in a rebuilt one)
@@ -432,31 +431,30 @@ type runtime struct {
 	eventSteps []int
 	steps      int
 	stepsBy    []int
-	schedule   []Decision
 	status     []procStatus // index 0 unused
 
 	// Footprint tracking (only when the object opts in via Footprinted).
 	// The decl* fields accumulate the declarations of the current granted
 	// window; lazyStep poisons a window that resolved a LazyArg, whose
-	// effect depends on the scheduling-time view.
-	track     bool
-	accesses  []Access
-	declObj   string
-	declWrite bool
-	declCount int
-	declMixed bool
-	lazyStep  bool
+	// effect depends on the scheduling-time view. lastAccess is the
+	// footprint of the most recent decision.
+	track      bool
+	declObj    string
+	declWrite  bool
+	declCount  int
+	declMixed  bool
+	lazyStep   bool
+	lastAccess Access
 
-	// Control-state tracking (ctl): the per-process pending invocation,
-	// steps taken within the pending operation, completed-operation and
-	// invoked-operation counts, index 0 unused. Fingerprinting needs it
-	// to encode program counters; sessions need it to rebuild processes
-	// on Restore. The invoked count exists for recovery: an operation
+	// Control state, index 0 unused: the per-process pending
+	// invocation, steps taken within the pending operation, and
+	// completed-operation and invoked-operation counts. Fingerprinting
+	// encodes them as program counters; sessions copy them on Mark and
+	// Restore. The invoked count exists for recovery: an operation
 	// killed by a crash consumed an environment invocation without ever
 	// completing, and stateless environments derive their position from
 	// invocation counts, so the fingerprint must separate configurations
 	// that differ only in consumed-but-never-completed invocations.
-	ctl         bool
 	fpPending   []Invocation
 	fpHasPend   []bool
 	fpOpSteps   []int
@@ -482,23 +480,17 @@ type runtime struct {
 	fpPoisoned bool
 	fpEnc      Fingerprinter // reused by Observe for its encoding buffer
 
-	// Continuation-session state (only under Session, never sim.Run).
-	// The session dispatches Stepped frames directly: frames holds each
-	// process's in-flight operation continuation (nil between
-	// operations), next/hasNext the invocation the environment chose but
-	// the process has not yet invoked, lastAccess the footprint of the
-	// most recent decision, and envCalls the total number of environment
-	// consultations made (so Restore knows whether the environment needs
-	// rewinding). vw is the reusable view handed to environments and
-	// LazyArgs: it is valid only for the duration of the call.
-	direct     bool
-	stepped    Stepped
-	frames     []Frame      // index 0 unused
-	next       []Invocation // index 0 unused
-	hasNext    []bool       // index 0 unused
-	lastAccess Access
-	envCalls   int
-	vw         View
+	// Dispatch state: frames holds each process's in-flight operation
+	// continuation (nil between operations), next/hasNext the invocation
+	// the environment chose but the process has not yet invoked, and
+	// envCalls the total number of environment consultations made (so
+	// Restore knows whether the environment needs rewinding). vw is the
+	// reusable view handed to schedulers, environments and LazyArgs.
+	frames   []Frame      // index 0 unused
+	next     []Invocation // index 0 unused
+	hasNext  []bool       // index 0 unused
+	envCalls int
+	vw       View
 }
 
 // beginWindow resets the per-window footprint accumulators.
@@ -529,141 +521,49 @@ func (r *runtime) endWindow(evBefore int) Access {
 	return a
 }
 
-// record appends an external event to the history. Under sim.Run it is
-// called from process goroutines strictly within their granted windows,
-// so accesses are serialized with the runtime loop by the grant/sync
-// channel handshake; under a Session it is called by the dispatch loop.
+// record appends an external event to the history and updates the
+// recording process's control state.
 func (r *runtime) record(e history.Event) {
 	r.h = append(r.h, e)
 	r.eventSteps = append(r.eventSteps, r.steps)
-	if r.ctl {
-		switch e.Kind {
-		case history.KindInvoke:
-			r.fpPending[e.Proc] = Invocation{Op: e.Op, Obj: e.Obj, Arg: e.Arg}
-			r.fpHasPend[e.Proc] = true
-			r.fpInvoked[e.Proc]++
-		case history.KindResponse:
-			// The operation is over: its local variables are dead, so the
-			// observation digest and in-operation step counter reset.
-			r.fpHasPend[e.Proc] = false
-			r.fpCompleted[e.Proc]++
-			r.fpOpSteps[e.Proc] = 0
-			if r.fpTrack {
-				r.fpObs[e.Proc] = history.DigestSeed()
-			}
+	switch e.Kind {
+	case history.KindInvoke:
+		r.fpPending[e.Proc] = Invocation{Op: e.Op, Obj: e.Obj, Arg: e.Arg}
+		r.fpHasPend[e.Proc] = true
+		r.fpInvoked[e.Proc]++
+	case history.KindResponse:
+		// The operation is over: its local variables are dead, so the
+		// observation digest and in-operation step counter reset.
+		r.fpHasPend[e.Proc] = false
+		r.fpCompleted[e.Proc]++
+		r.fpOpSteps[e.Proc] = 0
+		if r.fpTrack {
+			r.fpObs[e.Proc] = history.DigestSeed()
 		}
 	}
 }
 
-func (r *runtime) view() *View {
-	v := &View{
-		H:       r.h[:len(r.h):len(r.h)],
-		Steps:   r.steps,
-		StepsBy: append([]int(nil), r.stepsBy...),
-	}
-	for id := 1; id <= r.cfg.Procs; id++ {
-		switch r.status[id] {
-		case statusReady:
-			v.Ready = append(v.Ready, id)
-		case statusIdle:
-			v.Idle = append(v.Idle, id)
-		case statusBlocked:
-			v.Blocked = append(v.Blocked, id)
-		case statusCrashed:
-			v.Crashed = append(v.Crashed, id)
-		}
-	}
-	sort.Ints(v.Ready)
-	return v
-}
-
-func (r *runtime) procLoop(p *Proc) { r.procLoopFrom(p, nil) }
-
-// procLoopFrom is procLoop with an optional recovery routine to drive
-// first: a recovered process's goroutine steps the recovery frame under
-// granted windows (one Step per grant, like an operation frame, but
-// recording no response on completion), then re-enters the normal
-// environment loop.
-func (r *runtime) procLoopFrom(p *Proc, rec Frame) {
-	normal := false
-	defer func() {
-		v := recover()
-		switch {
-		case v == nil && normal:
-			// Idle exit: the final yield already happened.
-		case v == errHalted: //nolint:errorlint // sentinel identity is intended
-			// Shutdown while blocked; the runtime is not waiting on sync.
-		case v == errBlocked: //nolint:errorlint // sentinel identity is intended
-			p.yield(statusBlocked)
-		default:
-			// Real panic from algorithm code: surface it.
-			close(p.dead)
-			panic(v)
-		}
-		close(p.dead)
-	}()
-
-	for rec != nil {
-		var st StepStatus
-		p.Exec("recover", func() {
-			_, st = rec.Step(p)
-		})
-		switch st {
-		case StepPaused:
-		case StepBlocked:
-			panic(errBlocked)
-		default: // StepDone: the routine is over, no response is recorded.
-			rec = nil
-			r.recoveryDone(p.id)
-		}
-	}
-
-	for {
-		// Consult the environment at the end of the previous window (or at
-		// startup, before the initial yield): a process with no further
-		// work is idle, not ready, matching the paper's fairness notion
-		// that only enabled actions demand turns.
-		inv, ok := r.envNext(p)
-		if !ok {
-			p.yield(statusIdle)
-			normal = true
-			return
-		}
-		// The grant of this step is what schedules the invocation event.
-		// Lazy arguments resolve here, against the view at scheduling time.
-		p.Exec("invoke", func() {
-			if la, lazy := inv.Arg.(LazyArg); lazy {
-				inv.Arg = la(r.view())
-				r.lazyStep = true
-				r.fpPoisoned = true
-			}
-			r.record(history.Event{
-				Kind: history.KindInvoke, Proc: p.id,
-				Op: inv.Op, Obj: inv.Obj, Arg: inv.Arg,
-			})
-		})
-		val := r.cfg.Object.Apply(p, inv)
-		r.record(history.Event{
-			Kind: history.KindResponse, Proc: p.id,
-			Op: inv.Op, Obj: inv.Obj, Val: val,
-		})
-	}
-}
-
-// envNext consults the environment for a process's next invocation
-// (goroutine runtime only; sessions consult via their dispatch loop).
-func (r *runtime) envNext(p *Proc) (Invocation, bool) {
-	return r.env.Next(p.id, r.view())
-}
-
-// newRuntime builds the shared runtime core of Run and Session.
+// newRuntime builds the runtime of Run and Session, positioned at the
+// initial configuration before any environment consultation.
 func newRuntime(cfg Config, env Environment) *runtime {
+	n := cfg.Procs + 1
 	r := &runtime{
-		cfg:     cfg,
-		env:     env,
-		procs:   make([]*Proc, cfg.Procs+1),
-		stepsBy: make([]int, cfg.Procs+1),
-		status:  make([]procStatus, cfg.Procs+1),
+		cfg:         cfg,
+		env:         env,
+		procs:       make([]*Proc, n),
+		stepsBy:     make([]int, n),
+		status:      make([]procStatus, n),
+		fpPending:   make([]Invocation, n),
+		fpHasPend:   make([]bool, n),
+		fpOpSteps:   make([]int, n),
+		fpCompleted: make([]int, n),
+		fpInvoked:   make([]int, n),
+		frames:      make([]Frame, n),
+		next:        make([]Invocation, n),
+		hasNext:     make([]bool, n),
+	}
+	for id := 1; id <= cfg.Procs; id++ {
+		r.procs[id] = &Proc{id: id, n: cfg.Procs, rt: r}
 	}
 	if f, ok := cfg.Object.(Footprinted); ok && f.Footprints() {
 		r.track = true
@@ -671,7 +571,7 @@ func newRuntime(cfg Config, env Environment) *runtime {
 	r.recObj, _ = cfg.Object.(Recoverable)
 	if _, ok := cfg.Object.(Fingerprintable); ok && cfg.Fingerprint {
 		r.fpTrack = true
-		r.fpObs = make([]uint64, cfg.Procs+1)
+		r.fpObs = make([]uint64, n)
 		for i := range r.fpObs {
 			r.fpObs[i] = history.DigestSeed()
 		}
@@ -679,15 +579,13 @@ func newRuntime(cfg Config, env Environment) *runtime {
 	return r
 }
 
-// enableCtl switches on control-state tracking (pending invocations,
-// per-operation step counts, completed-operation counts).
-func (r *runtime) enableCtl() {
-	r.ctl = true
-	r.fpPending = make([]Invocation, r.cfg.Procs+1)
-	r.fpHasPend = make([]bool, r.cfg.Procs+1)
-	r.fpOpSteps = make([]int, r.cfg.Procs+1)
-	r.fpCompleted = make([]int, r.cfg.Procs+1)
-	r.fpInvoked = make([]int, r.cfg.Procs+1)
+// start consults the environment for each process's first invocation,
+// one process at a time so initial readiness is deterministic: process
+// id sees the statuses of 1..id-1.
+func (r *runtime) start() {
+	for id := 1; id <= r.cfg.Procs; id++ {
+		r.consultEnv(id)
+	}
 }
 
 // noteRecover bumps a process's recovery epoch, lazily allocating the
@@ -707,127 +605,199 @@ func (r *runtime) recoveryDone(id int) {
 	if r.recovering != nil {
 		r.recovering[id] = false
 	}
-	if r.ctl {
-		r.fpOpSteps[id] = 0
-	}
+	r.fpOpSteps[id] = 0
 	if r.fpTrack {
 		r.fpObs[id] = history.DigestSeed()
 	}
 }
 
-// spawn starts (or restarts) process id's goroutine and waits for its
-// initial yield, so readiness transitions stay deterministic.
-func (r *runtime) spawn(id int) { r.respawn(id, nil) }
-
-// respawn starts process id's goroutine, optionally with a recovery
-// routine to drive first, and waits for its initial yield.
-func (r *runtime) respawn(id int, rec Frame) {
-	p := &Proc{
-		id: id, n: r.cfg.Procs, rt: r,
-		grant: make(chan struct{}),
-		sync:  make(chan procStatus),
-		dead:  make(chan struct{}),
-		halt:  make(chan struct{}),
+// consultEnv asks the environment for process id's next invocation and
+// records the outcome in the per-process control state. The process's
+// own status is still its pre-consultation value (ready mid-run,
+// crashed within a recover decision, unset at startup) while the
+// environment looks at the view.
+func (r *runtime) consultEnv(id int) {
+	r.envCalls++
+	if inv, ok := r.env.Next(id, r.view()); ok {
+		r.next[id] = inv
+		r.hasNext[id] = true
+		r.status[id] = statusReady
+	} else {
+		r.hasNext[id] = false
+		r.status[id] = statusIdle
 	}
-	r.procs[id] = p
-	go r.procLoopFrom(p, rec)
-	r.status[id] = <-p.sync // initial yield before first invocation
 }
 
-// applyDecision validates and executes one scheduler decision. The
-// returned error corresponds to sim.Run's StopError cases; the caller
-// must have checked its own budget and that some process is ready.
-func (r *runtime) applyDecision(d Decision) error {
+// view rebuilds the runtime's reusable view. The view and its slices
+// are valid only until the next runtime operation; schedulers,
+// environments and LazyArgs must not retain them.
+func (r *runtime) view() *View {
+	v := &r.vw
+	v.H = r.h[:len(r.h):len(r.h)]
+	v.Steps = r.steps
+	v.StepsBy = append(v.StepsBy[:0], r.stepsBy...)
+	v.Ready = r.appendStatus(v.Ready[:0], statusReady)
+	v.Idle = r.appendStatus(v.Idle[:0], statusIdle)
+	v.Blocked = r.appendStatus(v.Blocked[:0], statusBlocked)
+	v.Crashed = r.appendStatus(v.Crashed[:0], statusCrashed)
+	return v
+}
+
+// appendStatus appends the ids of the processes in status st to dst, in
+// ascending order.
+func (r *runtime) appendStatus(dst []int, st procStatus) []int {
+	for id := 1; id <= r.cfg.Procs; id++ {
+		if r.status[id] == st {
+			dst = append(dst, id)
+		}
+	}
+	return dst
+}
+
+// extendDirect validates and dispatches one scheduler decision: a crash
+// or recover updates the control state, and a step runs the granted
+// window as a direct call into the process's continuation frame (or
+// into Object.Begin when the window invokes a new operation).
+func (r *runtime) extendDirect(d Decision) error {
 	if d.Proc < 1 || d.Proc > r.cfg.Procs {
 		return fmt.Errorf("sim: scheduler chose invalid process %d", d.Proc)
 	}
+	id := d.Proc
 	if d.Crash && d.Recover {
-		return fmt.Errorf("sim: decision cannot both crash and recover process %d", d.Proc)
+		return fmt.Errorf("sim: decision cannot both crash and recover process %d", id)
 	}
 	if d.Crash {
-		if r.status[d.Proc] == statusCrashed {
-			return fmt.Errorf("sim: scheduler crashed process %d twice", d.Proc)
+		if r.status[id] == statusCrashed {
+			return fmt.Errorf("sim: scheduler crashed process %d twice", id)
 		}
-		r.schedule = append(r.schedule, d)
-		r.record(history.Crash(d.Proc))
-		r.status[d.Proc] = statusCrashed
+		// The crashed process keeps its frame and pending invocation:
+		// they are part of the configuration (fingerprints include the
+		// pending operations of crashed processes), they just never run —
+		// unless a later recover decision discards them.
+		r.record(history.Crash(id))
+		r.status[id] = statusCrashed
 		if r.recObj != nil {
 			r.recObj.CrashVolatile()
 		}
+		r.lastAccess = Access{}
 		if r.track {
-			r.accesses = append(r.accesses, Access{Known: true, Crash: true})
+			r.lastAccess = Access{Known: true, Crash: true}
 		}
 		return nil
 	}
 	if d.Recover {
-		if r.status[d.Proc] != statusCrashed {
-			return fmt.Errorf("sim: scheduler recovered non-crashed process %d", d.Proc)
+		if r.status[id] != statusCrashed {
+			return fmt.Errorf("sim: scheduler recovered non-crashed process %d", id)
 		}
-		// Kill the crashed process's parked goroutine, then re-spawn it
-		// fresh: recovery routine first (if any), then the environment
-		// loop. Its pending invocation never responds.
-		if p := r.procs[d.Proc]; p != nil {
-			close(p.halt)
-			<-p.dead
-		}
-		r.schedule = append(r.schedule, d)
-		r.record(history.Recover(d.Proc))
-		r.noteRecover(d.Proc)
-		if r.ctl {
-			r.fpPending[d.Proc] = Invocation{}
-			r.fpHasPend[d.Proc] = false
-			r.fpOpSteps[d.Proc] = 0
-		}
+		r.record(history.Recover(id))
+		r.noteRecover(id)
+		r.fpPending[id] = Invocation{}
+		r.fpHasPend[id] = false
+		r.fpOpSteps[id] = 0
 		if r.fpTrack {
-			r.fpObs[d.Proc] = history.DigestSeed()
+			r.fpObs[id] = history.DigestSeed()
 		}
+		// The in-flight frame and the chosen-but-uninvoked next invocation
+		// are volatile process state: both die with the crash.
+		r.frames[id] = nil
+		r.hasNext[id] = false
 		var rec Frame
 		if r.recObj != nil {
 			rec = r.recObj.RecoverFrame()
 		}
-		r.recovering[d.Proc] = rec != nil
-		r.respawn(d.Proc, rec)
+		// Set unconditionally: the process may have crashed during a
+		// previous recovery routine, leaving the flag true.
+		r.recovering[id] = rec != nil
+		if rec != nil {
+			r.frames[id] = rec
+			r.status[id] = statusReady
+		} else {
+			// No recovery routine: the process re-enters its workload at
+			// once, consulting the environment within the recover decision.
+			r.consultEnv(id)
+		}
+		r.lastAccess = Access{}
 		if r.track {
-			r.accesses = append(r.accesses, Access{Known: true, Recover: true})
+			r.lastAccess = Access{Known: true, Recover: true}
 		}
 		return nil
 	}
-	if r.status[d.Proc] != statusReady {
-		return fmt.Errorf("sim: scheduler stepped non-ready process %d", d.Proc)
+	if r.status[id] != statusReady {
+		return fmt.Errorf("sim: scheduler stepped non-ready process %d", id)
 	}
 	r.steps++
-	r.stepsBy[d.Proc]++
-	if r.ctl {
-		// Incremented before the window so a response recorded within
-		// it (which ends the operation) resets the counter to zero.
-		r.fpOpSteps[d.Proc]++
-	}
-	r.schedule = append(r.schedule, d)
-	p := r.procs[d.Proc]
-	evBefore := len(r.h)
+	r.stepsBy[id]++
+	// Incremented before the window so a response recorded within it
+	// (which ends the operation) resets the counter to zero.
+	r.fpOpSteps[id]++
 	r.beginWindow()
-	p.grant <- struct{}{}
-	r.status[d.Proc] = <-p.sync
+	evBefore := len(r.h)
+	p := r.procs[id]
+	var val history.Value
+	var st StepStatus
+	if f := r.frames[id]; f != nil {
+		val, st = f.Step(p)
+		if st != StepPaused {
+			r.frames[id] = nil
+		}
+	} else {
+		// Invocation window: resolve the argument, record the event, and
+		// run the operation's pre-first-access code via Begin.
+		inv := r.next[id]
+		r.hasNext[id] = false
+		if la, lazy := inv.Arg.(LazyArg); lazy {
+			inv.Arg = la(r.view())
+			r.lazyStep = true
+			r.fpPoisoned = true
+		}
+		r.record(history.Event{
+			Kind: history.KindInvoke, Proc: id,
+			Op: inv.Op, Obj: inv.Obj, Arg: inv.Arg,
+		})
+		var f Frame
+		f, val, st = r.cfg.Object.Begin(p, inv)
+		if st == StepPaused {
+			r.frames[id] = f
+		}
+	}
+	switch st {
+	case StepPaused:
+		// The operation pauses at its next step boundary; the process
+		// stays ready.
+	case StepBlocked:
+		r.status[id] = statusBlocked
+	case StepDone:
+		if r.recovering != nil && r.recovering[id] {
+			// A completed recovery routine records no response — recovery
+			// is not an operation — but the next-environment consultation
+			// still happens within the same window.
+			r.recoveryDone(id)
+			r.consultEnv(id)
+			break
+		}
+		// Response and next-environment consultation happen within the
+		// same window.
+		pend := r.fpPending[id]
+		r.record(history.Event{
+			Kind: history.KindResponse, Proc: id,
+			Op: pend.Op, Obj: pend.Obj, Val: val,
+		})
+		r.consultEnv(id)
+	default:
+		return fmt.Errorf("sim: object %T returned invalid step status %d", r.cfg.Object, st)
+	}
+	r.lastAccess = Access{}
 	if r.track {
-		r.accesses = append(r.accesses, r.endWindow(evBefore))
+		r.lastAccess = r.endWindow(evBefore)
 	}
 	return nil
 }
 
-// shutdown wakes every process still blocked on a grant and waits for
-// all goroutines to exit (no fire-and-forget goroutines).
-func (r *runtime) shutdown() {
-	for id := 1; id <= r.cfg.Procs; id++ {
-		if p := r.procs[id]; p != nil {
-			close(p.halt)
-			<-p.dead
-		}
-	}
-}
-
 // Run executes a configured simulation to completion and returns its
-// result. It is safe to call concurrently with other Runs on distinct
-// Config values.
+// result. It is a scheduler loop over the same direct dispatch a
+// Session uses, on the calling goroutine: a panic in object code
+// reaches the caller. It is safe to call concurrently with other Runs
+// on distinct Config values.
 func Run(cfg Config) *Result {
 	if cfg.Procs < 1 {
 		return &Result{Reason: StopError, Err: errors.New("sim: Procs must be >= 1")}
@@ -836,16 +806,11 @@ func Run(cfg Config) *Result {
 		cfg.MaxSteps = DefaultMaxSteps
 	}
 	r := newRuntime(cfg, cfg.Env)
-	if r.fpTrack {
-		r.enableCtl()
-	}
-
-	// Start processes one at a time so initial readiness is deterministic.
-	for id := 1; id <= cfg.Procs; id++ {
-		r.spawn(id)
-	}
+	r.start()
 
 	res := &Result{}
+	var schedule []Decision
+	var accesses []Access
 	for {
 		if r.steps >= cfg.MaxSteps {
 			res.Reason = StopBudget
@@ -861,25 +826,26 @@ func Run(cfg Config) *Result {
 			res.Reason = StopScheduler
 			break
 		}
-		if err := r.applyDecision(d); err != nil {
+		if err := r.extendDirect(d); err != nil {
 			res.Reason = StopError
 			res.Err = err
 			break
 		}
+		schedule = append(schedule, d)
+		if r.track {
+			accesses = append(accesses, r.lastAccess)
+		}
 	}
-
-	r.shutdown()
 
 	res.H = r.h
 	res.EventSteps = r.eventSteps
-	res.Schedule = r.schedule
+	res.Schedule = schedule
 	res.Steps = r.steps
 	res.StepsBy = r.stepsBy
-	final := r.view()
-	res.Idle = final.Idle
-	res.Blocked = final.Blocked
-	res.Crashed = final.Crashed
-	res.Accesses = r.accesses
+	res.Idle = r.appendStatus(nil, statusIdle)
+	res.Blocked = r.appendStatus(nil, statusBlocked)
+	res.Crashed = r.appendStatus(nil, statusCrashed)
+	res.Accesses = accesses
 	if r.fpTrack && !r.fpPoisoned {
 		if fp, ok := r.fingerprint(); ok {
 			res.Fingerprint = fp

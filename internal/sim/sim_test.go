@@ -8,8 +8,8 @@ import (
 	"repro/internal/history"
 )
 
-// Proc must satisfy base.Stepper so base objects can be driven directly.
-var _ base.Stepper = (*Proc)(nil)
+// Proc must satisfy base.Accessor so base objects can be driven directly.
+var _ base.Accessor = (*Proc)(nil)
 
 // regObject exposes a single register through read/write operations; used
 // to exercise the runtime.
@@ -21,24 +21,28 @@ func newRegObject() *regObject {
 	return &regObject{r: base.NewRegister("r", 0)}
 }
 
-func (o *regObject) Apply(p *Proc, inv Invocation) history.Value {
+// Begin implements Object: read and write take one access window.
+func (o *regObject) Begin(p *Proc, inv Invocation) (Frame, history.Value, StepStatus) {
 	switch inv.Op {
-	case "read":
-		return o.r.Read(p)
-	case "write":
-		o.r.Write(p, inv.Arg)
-		return history.OK
-	default:
-		return nil
+	case "read", "write":
+		return ObjectFunc(o.access).Begin(p, inv)
 	}
+	return nil, nil, StepDone
+}
+
+func (o *regObject) access(p *Proc, inv Invocation) history.Value {
+	if inv.Op == "read" {
+		return o.r.ReadW(p)
+	}
+	o.r.WriteW(p, inv.Arg)
+	return history.OK
 }
 
 // blockObject parks every caller forever (the trivial implementation I_t).
 type blockObject struct{}
 
-func (blockObject) Apply(p *Proc, inv Invocation) history.Value {
-	p.Block()
-	return nil
+func (blockObject) Begin(p *Proc, inv Invocation) (Frame, history.Value, StepStatus) {
+	return nil, nil, StepBlocked
 }
 
 func TestRunSequentialReadWrite(t *testing.T) {

@@ -20,6 +20,7 @@ import (
 	"fmt"
 
 	"repro/internal/base"
+	"repro/internal/sim"
 )
 
 // Value is the component datum.
@@ -43,8 +44,7 @@ type SW struct {
 
 	// borrows counts scans that returned an embedded view rather than a
 	// clean double collect (observability for tests and benchmarks). It is
-	// only mutated inside granted steps' windows, so reads after a run are
-	// race-free.
+	// only mutated inside granted steps' windows.
 	borrows int
 }
 
@@ -75,7 +75,8 @@ type swState struct {
 }
 
 // Snapshot captures the snapshot object's state for the incremental
-// exploration engine (composed into sim.Snapshottable hooks).
+// exploration engine (composed into sim.Snapshottable hooks). In-flight
+// scans and updates live in their frames, not here.
 func (s *SW) Snapshot() any {
 	st := &swState{cells: make([]Value, len(s.regs)), borrows: s.borrows}
 	for i, r := range s.regs {
@@ -93,15 +94,6 @@ func (s *SW) Restore(v any) {
 	s.borrows = st.borrows
 }
 
-// collect reads every component register once (n steps).
-func (s *SW) collect(p base.Stepper) []*cell {
-	out := make([]*cell, len(s.regs))
-	for i, r := range s.regs {
-		out[i] = r.Read(p).(*cell)
-	}
-	return out
-}
-
 func values(cells []*cell) []Value {
 	out := make([]Value, len(cells))
 	for i, c := range cells {
@@ -110,46 +102,120 @@ func values(cells []*cell) []Value {
 	return out
 }
 
-// Scan returns an atomic snapshot of all components. It is wait-free: each
-// double collect either agrees (the snapshot is the second collect, which
-// was valid at every point between the two) or some component moved; a
-// component that moves twice embeds a view scanned entirely inside our
-// window, which is returned instead.
-func (s *SW) Scan(p base.Stepper) []Value {
+// BeginScan returns the continuation frame of an atomic scan of all
+// components, to be stepped under the scanning process's granted
+// windows (one register read per Step); the Step that completes it
+// returns the snapshot as a []Value. The scan is wait-free: it double
+// collects until two collects agree (the snapshot is the second
+// collect, which was valid at every point between the two) or some
+// component moves twice, in which case that component's embedded view
+// — scanned entirely inside our window — is returned instead.
+func (s *SW) BeginScan() sim.Frame {
 	n := len(s.regs)
-	moved := make([]int, n)
-	prev := s.collect(p)
-	for {
-		cur := s.collect(p)
-		agree := true
-		for i := range cur {
-			if cur[i].seq != prev[i].seq {
-				agree = false
-				moved[i]++
-				if moved[i] >= 2 {
-					// cur[i]'s update began after our scan did (it is the
-					// second move we observed), so its embedded view was
-					// taken within our window.
-					s.borrows++
-					view := make([]Value, n)
-					copy(view, cur[i].view)
-					return view
-				}
-			}
-		}
-		if agree {
-			return values(cur)
-		}
-		prev = cur
-	}
+	return &scanFrame{s: s, moved: make([]int, n), cur: make([]*cell, n)}
 }
 
-// Update atomically sets component i (0-based) to v. Per the single-writer
-// discipline, only one process may ever update a given component. The
-// update embeds a fresh scan, making it linearizable with concurrent
-// scans.
-func (s *SW) Update(p base.Stepper, i int, v Value) {
-	view := s.Scan(p)
-	old := s.regs[i].Read(p).(*cell)
-	s.regs[i].Write(p, &cell{val: v, seq: old.seq + 1, view: view})
+// scanFrame is an in-flight scan: i is the next component of the
+// current collect, prev the previous complete collect (nil during the
+// first), and moved counts the changes observed per component.
+type scanFrame struct {
+	s     *SW
+	moved []int
+	prev  []*cell
+	cur   []*cell
+	i     int
+}
+
+// Step implements sim.Frame.
+func (f *scanFrame) Step(p *sim.Proc) (Value, sim.StepStatus) {
+	s := f.s
+	f.cur[f.i] = s.regs[f.i].ReadW(p).(*cell)
+	if f.i++; f.i < len(s.regs) {
+		return nil, sim.StepPaused
+	}
+	f.i = 0
+	if f.prev == nil {
+		f.prev, f.cur = f.cur, make([]*cell, len(s.regs))
+		return nil, sim.StepPaused
+	}
+	agree := true
+	for i := range f.cur {
+		if f.cur[i].seq != f.prev[i].seq {
+			agree = false
+			f.moved[i]++
+			if f.moved[i] >= 2 {
+				// cur[i]'s update began after our scan did (it is the
+				// second move we observed), so its embedded view was
+				// taken within our window.
+				s.borrows++
+				view := make([]Value, len(s.regs))
+				copy(view, f.cur[i].view)
+				return view, sim.StepDone
+			}
+		}
+	}
+	if agree {
+		return values(f.cur), sim.StepDone
+	}
+	f.prev, f.cur = f.cur, f.prev
+	return nil, sim.StepPaused
+}
+
+// Fork implements sim.Frame.
+func (f *scanFrame) Fork() sim.Frame {
+	c := *f
+	c.moved = append([]int(nil), f.moved...)
+	c.cur = append([]*cell(nil), f.cur...)
+	if f.prev != nil {
+		c.prev = append([]*cell(nil), f.prev...)
+	}
+	return &c
+}
+
+// BeginUpdate returns the continuation frame that atomically sets
+// component i (0-based) to v. Per the single-writer discipline, only one
+// process may ever update a given component. The update embeds a fresh
+// scan, making it linearizable with concurrent scans: it scans, reads
+// its own component, then writes the new cell.
+func (s *SW) BeginUpdate(i int, v Value) sim.Frame {
+	return &updateFrame{s: s, i: i, v: v, scan: s.BeginScan().(*scanFrame)}
+}
+
+// updateFrame is an in-flight update: the embedded scan runs first
+// (scan non-nil), then the read of the own component (old nil), then
+// the write.
+type updateFrame struct {
+	s    *SW
+	i    int
+	v    Value
+	scan *scanFrame
+	view []Value
+	old  *cell
+}
+
+// Step implements sim.Frame.
+func (f *updateFrame) Step(p *sim.Proc) (Value, sim.StepStatus) {
+	switch {
+	case f.scan != nil:
+		if view, st := f.scan.Step(p); st == sim.StepDone {
+			f.view = view.([]Value)
+			f.scan = nil
+		}
+		return nil, sim.StepPaused
+	case f.old == nil:
+		f.old = f.s.regs[f.i].ReadW(p).(*cell)
+		return nil, sim.StepPaused
+	}
+	f.s.regs[f.i].WriteW(p, &cell{val: f.v, seq: f.old.seq + 1, view: f.view})
+	return nil, sim.StepDone
+}
+
+// Fork implements sim.Frame. The collected view and the cells are
+// immutable once complete, so only the scan needs a deep copy.
+func (f *updateFrame) Fork() sim.Frame {
+	c := *f
+	if f.scan != nil {
+		c.scan = f.scan.Fork().(*scanFrame)
+	}
+	return &c
 }

@@ -9,63 +9,106 @@ import (
 	"repro/internal/sim"
 )
 
-// seqStepper executes ops immediately; for sequential unit tests.
-type seqStepper struct{ steps int }
-
-func (s *seqStepper) Exec(desc string, op func()) {
-	s.steps++
-	op()
-}
-
-func TestSequentialSemantics(t *testing.T) {
-	st := &seqStepper{}
-	s := New("R", 3, 0)
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	got := s.Scan(st)
-	for i, v := range got {
-		if v != 0 {
-			t.Fatalf("initial Scan[%d] = %v", i, v)
-		}
-	}
-	s.Update(st, 1, 7)
-	got = s.Scan(st)
-	want := []Value{0, 7, 0}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Scan = %v, want %v", got, want)
-		}
-	}
-	s.Update(st, 1, 8)
-	s.Update(st, 2, 9)
-	got = s.Scan(st)
-	want = []Value{0, 8, 9}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Scan = %v, want %v", got, want)
-		}
-	}
-	if s.Borrows() != 0 {
-		t.Errorf("sequential scans never borrow, got %d", s.Borrows())
-	}
-}
-
 // snapObject drives SW through the simulator: "update" writes the caller's
 // own component, "scan" returns the encoded vector.
 type snapObject struct {
 	s *SW
 }
 
-func (o *snapObject) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
+// Begin implements sim.Object by stepping the snapshot's own frames.
+func (o *snapObject) Begin(p *sim.Proc, inv sim.Invocation) (sim.Frame, history.Value, sim.StepStatus) {
 	switch inv.Op {
 	case "update":
-		o.s.Update(p, p.ID()-1, inv.Arg)
-		return history.OK
+		return &opFrame{sub: o.s.BeginUpdate(p.ID()-1, inv.Arg)}, nil, sim.StepPaused
 	case "scan":
-		return safety.EncodeVector(o.s.Scan(p))
+		return &opFrame{sub: o.s.BeginScan(), scan: true}, nil, sim.StepPaused
 	default:
-		return nil
+		return nil, nil, sim.StepDone
+	}
+}
+
+// opFrame runs one update or scan frame and turns its result into the
+// operation's response.
+type opFrame struct {
+	sub  sim.Frame
+	scan bool
+}
+
+// Step implements sim.Frame.
+func (f *opFrame) Step(p *sim.Proc) (history.Value, sim.StepStatus) {
+	v, st := f.sub.Step(p)
+	switch {
+	case st != sim.StepDone:
+		return nil, st
+	case f.scan:
+		return safety.EncodeVector(v.([]Value)), sim.StepDone
+	}
+	return history.OK, sim.StepDone
+}
+
+// Fork implements sim.Frame.
+func (f *opFrame) Fork() sim.Frame {
+	c := *f
+	c.sub = f.sub.Fork()
+	return &c
+}
+
+// sequential runs one operation at a time: the k-th operation to
+// respond overall is order[k]'s, which runs alone until it does.
+func sequential(order []int) sim.Scheduler {
+	return sim.SchedulerFunc(func(v *sim.View) (sim.Decision, bool) {
+		done := 0
+		for _, e := range v.H {
+			if e.Kind == history.KindResponse {
+				done++
+			}
+		}
+		if done >= len(order) {
+			return sim.Decision{}, false
+		}
+		return sim.Decision{Proc: order[done]}, true
+	})
+}
+
+func TestSequentialSemantics(t *testing.T) {
+	s := New("R", 3, 0)
+	if s.Len() != 3 {
+		t.Fatalf("Len = %d", s.Len())
+	}
+	res := sim.Run(sim.Config{
+		Procs:  3,
+		Object: &snapObject{s: s},
+		Env: sim.Script(map[int][]sim.Invocation{
+			1: {{Op: "scan"}, {Op: "scan"}, {Op: "scan"}},
+			2: {{Op: "update", Arg: 7}, {Op: "update", Arg: 8}},
+			3: {{Op: "update", Arg: 9}},
+		}),
+		Scheduler: sequential([]int{1, 2, 1, 2, 3, 1}),
+	})
+	if res.Err != nil {
+		t.Fatalf("run error: %v", res.Err)
+	}
+	var scans []history.Value
+	for _, e := range res.H {
+		if e.Kind == history.KindResponse && e.Op == "scan" {
+			scans = append(scans, e.Val)
+		}
+	}
+	want := []history.Value{
+		safety.EncodeVector([]Value{0, 0, 0}),
+		safety.EncodeVector([]Value{0, 7, 0}),
+		safety.EncodeVector([]Value{0, 8, 9}),
+	}
+	if len(scans) != len(want) {
+		t.Fatalf("scans = %v, want %v", scans, want)
+	}
+	for i := range want {
+		if scans[i] != want[i] {
+			t.Fatalf("scans = %v, want %v", scans, want)
+		}
+	}
+	if s.Borrows() != 0 {
+		t.Errorf("sequential scans never borrow, got %d", s.Borrows())
 	}
 }
 
@@ -184,12 +227,21 @@ func TestScanWaitFree(t *testing.T) {
 }
 
 func TestSingleWriterSequencesAdvance(t *testing.T) {
-	st := &seqStepper{}
 	s := New("R", 2, 0)
+	var updates []sim.Invocation
 	for i := 1; i <= 5; i++ {
-		s.Update(st, 0, i*10)
+		updates = append(updates, sim.Invocation{Op: "update", Arg: i * 10})
 	}
-	c := s.regs[0].Read(st).(*cell)
+	res := sim.Run(sim.Config{
+		Procs:     2,
+		Object:    &snapObject{s: s},
+		Env:       sim.Script(map[int][]sim.Invocation{1: updates}),
+		Scheduler: sim.Solo(1),
+	})
+	if res.Err != nil {
+		t.Fatalf("run error: %v", res.Err)
+	}
+	c := s.regs[0].Snapshot().(*cell)
 	if c.seq != 5 || c.val != 50 {
 		t.Errorf("cell = seq %d val %v, want seq 5 val 50", c.seq, c.val)
 	}

@@ -58,11 +58,6 @@ func NewDSTM(n int) *DSTM {
 	}
 }
 
-// Apply implements sim.Object.
-func (t *DSTM) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
-	return tmApply(t, p, inv)
-}
-
 func (t *DSTM) orecFor(v string) *base.CAS {
 	c, ok := t.orecs[v]
 	if !ok {
@@ -72,111 +67,181 @@ func (t *DSTM) orecFor(v string) *base.CAS {
 	return c
 }
 
-func (t *DSTM) start(p *sim.Proc) history.Value {
-	t.local[p.ID()].desc = &txDesc{
-		status: base.NewCAS("tx", txActive),
-	}
-	return history.OK
-}
-
-// active reports whether p's current transaction is still active (one
-// status read = one step).
-func (t *DSTM) active(p *sim.Proc) bool {
-	d := t.local[p.ID()].desc
-	return d != nil && d.status.Read(p) == txActive
-}
-
-// resolve returns the current committed value of the record (nil record =
-// initial value 0). It reads the previous owner's status (one step).
-func (t *DSTM) resolve(p *sim.Proc, rec *orec) history.Value {
-	if rec == nil {
-		return 0
-	}
-	if rec.owner.status.Read(p) == txCommitted {
-		return rec.newVal
-	}
-	return rec.oldVal
-}
-
-// acquire takes ownership of v for p's transaction and returns the value
-// the transaction observes. For writes, newVal becomes val; for reads the
-// record keeps the current value. Returns ok=false when the transaction
-// was aborted by a competitor.
-func (t *DSTM) acquire(p *sim.Proc, v string, write bool, val history.Value) (history.Value, bool) {
-	mine := t.local[p.ID()].desc
-	oc := t.orecFor(v)
-	for {
-		if !t.active(p) {
-			return nil, false
+// Begin implements sim.Object. start installs a fresh descriptor and
+// tryC retires it, both in the invocation window (tryC's commit is one
+// CAS step on the status word); read and write run the acquire loop.
+// An operation on a process without a live descriptor aborts at once.
+func (t *DSTM) Begin(p *sim.Proc, inv sim.Invocation) (sim.Frame, history.Value, sim.StepStatus) {
+	l := &t.local[p.ID()]
+	switch inv.Op {
+	case history.TMStart:
+		l.desc = &txDesc{status: base.NewCAS("tx", txActive)}
+		return nil, history.OK, sim.StepDone
+	case history.TMTryC:
+		d := l.desc
+		if d == nil {
+			return nil, history.Abort, sim.StepDone
 		}
-		cur, _ := oc.Read(p).(*orec)
-		if cur != nil && cur.owner == mine {
+		l.desc = nil
+		return &dstmCommit{d: d}, nil, sim.StepPaused
+	case history.TMRead, history.TMWrite:
+		if l.desc == nil {
+			return nil, history.Abort, sim.StepDone
+		}
+		return &dstmAcquire{
+			mine:  l.desc,
+			oc:    t.orecFor(inv.Obj),
+			write: inv.Op == history.TMWrite,
+			val:   inv.Arg,
+		}, nil, sim.StepPaused
+	default:
+		return nil, history.Abort, sim.StepDone
+	}
+}
+
+// dstmCommit is an in-flight tryC: one CAS of the status word from
+// active to committed. It never mutates, so Fork returns it.
+type dstmCommit struct{ d *txDesc }
+
+// Step implements sim.Frame.
+func (f *dstmCommit) Step(p *sim.Proc) (history.Value, sim.StepStatus) {
+	if f.d.status.CompareAndSwapW(p, txActive, txCommitted) {
+		return history.Commit, sim.StepDone
+	}
+	return history.Abort, sim.StepDone
+}
+
+// Fork implements sim.Frame.
+func (f *dstmCommit) Fork() sim.Frame { return f }
+
+// Phases of dstmAcquire.pc; each names the access the next Step makes.
+const (
+	acqActive      = iota // read the own status at the top of the loop
+	acqReadOrec           // read the variable's ownership record
+	acqOwnedActive        // re-read of an owned variable: validate the own status
+	acqOwnedCAS           // re-write of an owned variable: CAS the new record
+	acqWroteActive        // after that CAS: validate the own status
+	acqOwnerActive        // read the current owner's status
+	acqAbortOwner         // abort the active owner
+	acqResolve            // read the previous owner's status to resolve the value
+	acqStealCAS           // CAS our record over cur
+	acqStoleActive        // after that CAS: validate the own status
+)
+
+// dstmAcquire is an in-flight read or write: the acquire loop taking
+// ownership of the variable's record for the own transaction (mine).
+// A transaction running alone steals every record and completes; a
+// competitor's active transaction is aborted first (obstruction-free
+// conflict resolution).
+type dstmAcquire struct {
+	mine     *txDesc
+	oc       *base.CAS
+	write    bool
+	val      history.Value
+	pc       int
+	cur      *orec
+	next     *orec
+	resolved history.Value
+}
+
+// Step implements sim.Frame.
+func (f *dstmAcquire) Step(p *sim.Proc) (history.Value, sim.StepStatus) {
+	switch f.pc {
+	case acqActive:
+		if f.mine.status.ReadW(p) != txActive {
+			return history.Abort, sim.StepDone
+		}
+		f.pc = acqReadOrec
+	case acqReadOrec:
+		f.cur, _ = f.oc.ReadW(p).(*orec)
+		switch {
+		case f.cur != nil && f.cur.owner == f.mine:
 			// Re-access of an owned variable. Validate the own status
 			// before exposing the value: if a competitor aborted us, the
 			// value would join an inconsistent read set (opacity for
 			// aborted transactions).
-			if !write {
-				if !t.active(p) {
-					return nil, false
-				}
-				return cur.newVal, true
+			if !f.write {
+				f.pc = acqOwnedActive
+				break
 			}
-			next := &orec{owner: mine, oldVal: cur.oldVal, newVal: val}
-			if oc.CompareAndSwap(p, cur, next) {
-				if !t.active(p) {
-					return nil, false
-				}
-				return val, true
-			}
-			continue
+			f.next = &orec{owner: f.mine, oldVal: f.cur.oldVal, newVal: f.val}
+			f.pc = acqOwnedCAS
+		case f.cur != nil:
+			f.pc = acqOwnerActive
+		default:
+			// A nil record holds the initial value 0.
+			f.resolved = 0
+			f.steal()
 		}
-		if cur != nil && cur.owner.status.Read(p) == txActive {
-			// Obstruction-free conflict resolution: abort the owner.
-			cur.owner.status.CompareAndSwap(p, txActive, txAborted)
-			continue
+	case acqOwnedActive:
+		if f.mine.status.ReadW(p) != txActive {
+			return history.Abort, sim.StepDone
 		}
-		resolved := t.resolve(p, cur)
-		newVal := resolved
-		if write {
-			newVal = val
+		return f.cur.newVal, sim.StepDone
+	case acqOwnedCAS:
+		if f.oc.CompareAndSwapW(p, f.cur, f.next) {
+			f.pc = acqWroteActive
+		} else {
+			f.pc = acqActive
 		}
-		next := &orec{owner: mine, oldVal: resolved, newVal: newVal}
-		if oc.CompareAndSwap(p, cur, next) {
-			// Post-acquire validation: if our status still reads active
-			// here, no competitor has stolen any of our records up to this
-			// instant (stealing aborts first), so every value we have
-			// returned is simultaneously current — a consistent snapshot.
-			if !t.active(p) {
-				return nil, false
-			}
-			return resolved, true
+	case acqWroteActive:
+		if f.mine.status.ReadW(p) != txActive {
+			return history.Abort, sim.StepDone
 		}
+		return history.OK, sim.StepDone
+	case acqOwnerActive:
+		if f.cur.owner.status.ReadW(p) == txActive {
+			f.pc = acqAbortOwner
+		} else {
+			f.pc = acqResolve
+		}
+	case acqAbortOwner:
+		f.cur.owner.status.CompareAndSwapW(p, txActive, txAborted)
+		f.pc = acqActive
+	case acqResolve:
+		// The record's value is newVal if its owner committed, oldVal
+		// otherwise.
+		if f.cur.owner.status.ReadW(p) == txCommitted {
+			f.resolved = f.cur.newVal
+		} else {
+			f.resolved = f.cur.oldVal
+		}
+		f.steal()
+	case acqStealCAS:
+		if f.oc.CompareAndSwapW(p, f.cur, f.next) {
+			f.pc = acqStoleActive
+		} else {
+			f.pc = acqActive
+		}
+	case acqStoleActive:
+		// Post-acquire validation: if our status still reads active here,
+		// no competitor has stolen any of our records up to this instant
+		// (stealing aborts first), so every value we have returned is
+		// simultaneously current — a consistent snapshot.
+		if f.mine.status.ReadW(p) != txActive {
+			return history.Abort, sim.StepDone
+		}
+		if f.write {
+			return history.OK, sim.StepDone
+		}
+		return f.resolved, sim.StepDone
 	}
+	return nil, sim.StepPaused
 }
 
-func (t *DSTM) read(p *sim.Proc, v string) history.Value {
-	got, ok := t.acquire(p, v, false, nil)
-	if !ok {
-		return history.Abort
+// steal prepares the CAS installing our record over cur, keeping the
+// resolved current value as oldVal (writes install val as newVal).
+func (f *dstmAcquire) steal() {
+	newVal := f.resolved
+	if f.write {
+		newVal = f.val
 	}
-	return got
+	f.next = &orec{owner: f.mine, oldVal: f.resolved, newVal: newVal}
+	f.pc = acqStealCAS
 }
 
-func (t *DSTM) write(p *sim.Proc, v string, val history.Value) history.Value {
-	if _, ok := t.acquire(p, v, true, val); !ok {
-		return history.Abort
-	}
-	return history.OK
-}
-
-func (t *DSTM) tryC(p *sim.Proc) history.Value {
-	d := t.local[p.ID()].desc
-	if d == nil {
-		return history.Abort
-	}
-	t.local[p.ID()].desc = nil
-	if d.status.CompareAndSwap(p, txActive, txCommitted) {
-		return history.Commit
-	}
-	return history.Abort
+// Fork implements sim.Frame. The records it points to are immutable.
+func (f *dstmAcquire) Fork() sim.Frame {
+	c := *f
+	return &c
 }

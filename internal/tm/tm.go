@@ -46,39 +46,92 @@ type memState struct {
 type procTx struct {
 	snapshot  *memState                // (version, oldval) read by start
 	values    map[string]history.Value // local read/write buffer
-	written   bool
 	active    bool
 	timestamp int
 }
 
-// SnapshotObject is the snapshot interface Algorithm 1 needs: per-process
-// timestamp announcement plus an atomic scan. It is satisfied by the
-// hardware base.Snapshot (one-step scan) and by the software
-// snapshot.SW built from single-writer registers. Implementations that
-// additionally provide Snapshot() any / Restore(any) (both in-repo ones
-// do) let the TM participate in incremental exploration; without them
-// the TM falls back to replay execution (see I12.Snapshotting).
-type SnapshotObject interface {
-	Update(s base.Stepper, i int, v history.Value)
-	Scan(s base.Stepper) []history.Value
+// read returns the transaction's view of variable v: the local buffer,
+// or the initial value 0; A once the transaction is no longer active.
+func (l *procTx) read(v string) history.Value {
+	if !l.active {
+		return history.Abort
+	}
+	if val, ok := l.values[v]; ok {
+		return val
+	}
+	return 0
 }
 
-// snapRestorer is the state-capture facet of a SnapshotObject.
-type snapRestorer interface {
+// write buffers val for variable v until the commit.
+func (l *procTx) write(v string, val history.Value) history.Value {
+	if !l.active {
+		return history.Abort
+	}
+	l.values[v] = val
+	return history.OK
+}
+
+// SnapshotObject is the snapshot interface Algorithm 1 needs:
+// per-process timestamp announcement plus an atomic scan, each as a
+// continuation frame the TM steps under its own granted windows. The
+// hardware base.Snapshot (one-step update and scan, wrapped by NewI12)
+// and the software snapshot.SW built from single-writer registers
+// (many steps each) both provide it. Snapshot/Restore capture the
+// object's state for incremental exploration; in-flight updates and
+// scans live in their frames.
+type SnapshotObject interface {
+	// BeginUpdate returns the frame setting component i to v.
+	BeginUpdate(i int, v history.Value) sim.Frame
+	// BeginScan returns the frame of a scan; the Step completing it
+	// returns the snapshot as a []history.Value.
+	BeginScan() sim.Frame
 	Snapshot() any
 	Restore(any)
 }
 
-// steppedSnap is the window-form facet of a SnapshotObject: update and
-// scan each complete within a single already-granted access window,
-// which is what the continuation frames need. The hardware base.Snapshot
-// provides it; the software snapshot built from registers does not (its
-// scan takes many steps), so I12-with-software-snapshot reports
-// Snapshotting()==false and exploration uses the replay fallback.
-type steppedSnap interface {
-	UpdateW(a base.Accessor, i int, v history.Value)
-	ScanW(a base.Accessor, dst []history.Value) []history.Value
+// hwSnapshot adapts the one-step hardware snapshot to SnapshotObject.
+type hwSnapshot struct{ sn *base.Snapshot }
+
+// BeginUpdate implements SnapshotObject.
+func (h hwSnapshot) BeginUpdate(i int, v history.Value) sim.Frame {
+	return &hwUpdate{sn: h.sn, i: i, v: v}
 }
+
+// BeginScan implements SnapshotObject.
+func (h hwSnapshot) BeginScan() sim.Frame { return hwScan{h.sn} }
+
+// Snapshot implements SnapshotObject.
+func (h hwSnapshot) Snapshot() any { return h.sn.Snapshot() }
+
+// Restore implements SnapshotObject.
+func (h hwSnapshot) Restore(s any) { h.sn.Restore(s) }
+
+// hwUpdate is a one-step update; it never mutates, so Fork returns it.
+type hwUpdate struct {
+	sn *base.Snapshot
+	i  int
+	v  history.Value
+}
+
+// Step implements sim.Frame.
+func (f *hwUpdate) Step(p *sim.Proc) (history.Value, sim.StepStatus) {
+	f.sn.UpdateW(p, f.i, f.v)
+	return nil, sim.StepDone
+}
+
+// Fork implements sim.Frame.
+func (f *hwUpdate) Fork() sim.Frame { return f }
+
+// hwScan is a one-step scan.
+type hwScan struct{ sn *base.Snapshot }
+
+// Step implements sim.Frame.
+func (f hwScan) Step(p *sim.Proc) (history.Value, sim.StepStatus) {
+	return f.sn.ScanW(p, nil), sim.StepDone
+}
+
+// Fork implements sim.Frame.
+func (f hwScan) Fork() sim.Frame { return f }
 
 // txSnap is one process's captured transaction context. The read/write
 // buffer is copied both ways: write() mutates it in place, and the same
@@ -86,7 +139,6 @@ type steppedSnap interface {
 type txSnap struct {
 	snapshot  *memState
 	values    map[string]history.Value
-	written   bool
 	active    bool
 	timestamp int
 }
@@ -95,7 +147,7 @@ func snapLocals(local []procTx) []txSnap {
 	out := make([]txSnap, len(local))
 	for i := range local {
 		l := &local[i]
-		out[i] = txSnap{snapshot: l.snapshot, written: l.written, active: l.active, timestamp: l.timestamp}
+		out[i] = txSnap{snapshot: l.snapshot, active: l.active, timestamp: l.timestamp}
 		if l.values != nil {
 			m := make(map[string]history.Value, len(l.values))
 			for k, v := range l.values {
@@ -112,7 +164,6 @@ func restoreLocals(local []procTx, snaps []txSnap) {
 		s := &snaps[i]
 		l := &local[i]
 		l.snapshot = s.snapshot
-		l.written = s.written
 		l.active = s.active
 		l.timestamp = s.timestamp
 		if s.values == nil {
@@ -143,7 +194,7 @@ type I12 struct {
 func NewI12(n int) *I12 {
 	return &I12{
 		c:     base.NewCAS("C", &memState{version: 1}),
-		r:     base.NewSnapshot("R", n, 0),
+		r:     hwSnapshot{base.NewSnapshot("R", n, 0)},
 		local: make([]procTx, n+1),
 	}
 }
@@ -157,11 +208,6 @@ func NewI12WithSnapshot(n int, snap SnapshotObject) *I12 {
 		r:     snap,
 		local: make([]procTx, n+1),
 	}
-}
-
-// Apply implements sim.Object.
-func (t *I12) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
-	return tmApply(t, p, inv)
 }
 
 // Footprints implements sim.Footprinted: cross-process state is the
@@ -178,121 +224,35 @@ type tmState struct {
 	local []txSnap
 }
 
-// Snapshotting reports whether the snapshot object supports both state
-// capture and single-window update/scan; false sends exploration to the
-// replay fallback (see sim.CanSnapshot).
-func (t *I12) Snapshotting() bool {
-	if _, ok := t.r.(snapRestorer); !ok {
-		return false
-	}
-	_, ok := t.r.(steppedSnap)
-	return ok
-}
-
 // Snapshot implements sim.Snapshottable: the central CAS (pointer
 // identity preserved — memState records are immutable), the snapshot
 // object, and the per-process transaction contexts.
 func (t *I12) Snapshot() any {
-	st := &tmState{c: t.c.Snapshot(), local: snapLocals(t.local)}
-	if r, ok := t.r.(snapRestorer); ok {
-		st.r = r.Snapshot()
-	}
-	return st
+	return &tmState{c: t.c.Snapshot(), r: t.r.Snapshot(), local: snapLocals(t.local)}
 }
 
 // Restore implements sim.Snapshottable.
 func (t *I12) Restore(v any) {
 	st := v.(*tmState)
 	t.c.Restore(st.c)
-	if r, ok := t.r.(snapRestorer); ok {
-		r.Restore(st.r)
-	}
+	t.r.Restore(st.r)
 	restoreLocals(t.local, st.local)
 }
 
-func (t *I12) start(p *sim.Proc) history.Value {
-	l := &t.local[p.ID()]
-	l.timestamp++
-	t.r.Update(p, p.ID()-1, l.timestamp)
-	st := t.c.Read(p).(*memState)
-	l.snapshot = st
-	l.values = make(map[string]history.Value, len(st.vals))
-	for k, v := range st.vals {
-		l.values[k] = v
-	}
-	l.written = false
-	l.active = true
-	return history.OK
-}
-
-func (t *I12) read(p *sim.Proc, v string) history.Value {
-	l := &t.local[p.ID()]
-	if !l.active {
-		return history.Abort
-	}
-	if val, ok := l.values[v]; ok {
-		return val
-	}
-	return 0
-}
-
-func (t *I12) write(p *sim.Proc, v string, val history.Value) history.Value {
-	l := &t.local[p.ID()]
-	if !l.active {
-		return history.Abort
-	}
-	l.values[v] = val
-	l.written = true
-	return history.OK
-}
-
-func (t *I12) tryC(p *sim.Proc) history.Value {
-	l := &t.local[p.ID()]
-	// The active flag is local state that steers the operation's control
-	// flow, so it is folded into the local-state fingerprint (both here
-	// and in the continuation form's Begin).
-	p.Observe(l.active)
-	if !l.active {
-		return history.Abort
-	}
-	l.active = false
-	// The timestamp abort rule: count processes whose announced timestamp
-	// is at least ours (including ourselves, as in the paper's loop); three
-	// or more means at least two concurrent same-timestamp transactions
-	// observed our start, so abort.
-	snap := t.r.Scan(p)
-	count := 0
-	for _, ts := range snap {
-		if ts.(int) >= l.timestamp {
-			count++
-		}
-	}
-	if count >= 3 {
-		return history.Abort
-	}
-	next := &memState{version: l.snapshot.version + 1, vals: l.values}
-	if t.c.CompareAndSwap(p, l.snapshot, next) {
-		return history.Commit
-	}
-	return history.Abort
-}
-
-// Begin implements sim.Stepped. "read" and "write" are pure local-buffer
+// Begin implements sim.Object. "read" and "write" are pure local-buffer
 // operations — zero accesses, so the whole operation completes in the
 // invocation window. "start" bumps the local timestamp in the invocation
-// window (it steers no shared access yet), then announces and reads C in
-// two access windows. "tryC" takes its active-flag branch in the
-// invocation window, mirroring the blocking form where the flag check
-// precedes the first access.
-//
-// Begin is only reached when Snapshotting() is true, so the snapshot
-// object is known to implement steppedSnap.
+// window (it steers no shared access yet), then announces it in R (the
+// snapshot's update steps) and reads C. "tryC" checks its active flag in
+// the invocation window, before its first access: the flag is local
+// state that steers the operation's control flow, so it is folded into
+// the local-state fingerprint.
 func (t *I12) Begin(p *sim.Proc, inv sim.Invocation) (sim.Frame, history.Value, sim.StepStatus) {
 	switch inv.Op {
 	case history.TMStart:
 		l := &t.local[p.ID()]
 		l.timestamp++
-		return &i12StartFrame{t: t}, nil, sim.StepPaused
+		return &i12StartFrame{t: t, sub: t.r.BeginUpdate(p.ID()-1, l.timestamp)}, nil, sim.StepPaused
 	case history.TMTryC:
 		l := &t.local[p.ID()]
 		p.Observe(l.active)
@@ -300,30 +260,32 @@ func (t *I12) Begin(p *sim.Proc, inv sim.Invocation) (sim.Frame, history.Value, 
 			return nil, history.Abort, sim.StepDone
 		}
 		l.active = false
-		return &i12TryCFrame{t: t}, nil, sim.StepPaused
+		return &i12TryCFrame{t: t, sub: t.r.BeginScan()}, nil, sim.StepPaused
 	case history.TMRead:
-		return nil, t.read(p, inv.Obj), sim.StepDone
+		return nil, t.local[p.ID()].read(inv.Obj), sim.StepDone
 	case history.TMWrite:
-		return nil, t.write(p, inv.Obj, inv.Arg), sim.StepDone
+		return nil, t.local[p.ID()].write(inv.Obj, inv.Arg), sim.StepDone
 	default:
 		return nil, history.Abort, sim.StepDone
 	}
 }
 
-// i12StartFrame is an in-flight start: announce the timestamp, then read
-// the central CAS and initialize the read/write buffer.
+// i12StartFrame is an in-flight start: announce the timestamp (sub, the
+// snapshot update, until it completes), then read the central CAS and
+// initialize the read/write buffer.
 type i12StartFrame struct {
-	t  *I12
-	pc int
+	t   *I12
+	sub sim.Frame
 }
 
 // Step implements sim.Frame.
 func (f *i12StartFrame) Step(p *sim.Proc) (history.Value, sim.StepStatus) {
 	t := f.t
 	l := &t.local[p.ID()]
-	if f.pc == 0 {
-		t.r.(steppedSnap).UpdateW(p, p.ID()-1, l.timestamp)
-		f.pc = 1
+	if f.sub != nil {
+		if _, st := f.sub.Step(p); st == sim.StepDone {
+			f.sub = nil
+		}
 		return nil, sim.StepPaused
 	}
 	st := t.c.ReadW(p).(*memState)
@@ -332,7 +294,6 @@ func (f *i12StartFrame) Step(p *sim.Proc) (history.Value, sim.StepStatus) {
 	for k, v := range st.vals {
 		l.values[k] = v
 	}
-	l.written = false
 	l.active = true
 	return history.OK, sim.StepDone
 }
@@ -340,24 +301,36 @@ func (f *i12StartFrame) Step(p *sim.Proc) (history.Value, sim.StepStatus) {
 // Fork implements sim.Frame.
 func (f *i12StartFrame) Fork() sim.Frame {
 	c := *f
+	if f.sub != nil {
+		c.sub = f.sub.Fork()
+	}
 	return &c
 }
 
 // i12TryCFrame is an in-flight tryC past the active check: scan the
-// timestamps (aborting on the count rule in the scan's window, as in the
-// blocking form), then attempt the commit CAS.
+// timestamps (sub, until the scan completes; the count rule is applied
+// in the window of the scan's last step), then attempt the commit CAS.
 type i12TryCFrame struct {
 	t    *I12
+	sub  sim.Frame
 	next *memState
-	pc   int
 }
 
 // Step implements sim.Frame.
 func (f *i12TryCFrame) Step(p *sim.Proc) (history.Value, sim.StepStatus) {
 	t := f.t
 	l := &t.local[p.ID()]
-	if f.pc == 0 {
-		snap := t.r.(steppedSnap).ScanW(p, nil)
+	if f.sub != nil {
+		v, st := f.sub.Step(p)
+		if st != sim.StepDone {
+			return nil, sim.StepPaused
+		}
+		f.sub = nil
+		// The timestamp abort rule: count processes whose announced
+		// timestamp is at least ours (including ourselves, as in the
+		// paper's loop); three or more means at least two concurrent
+		// same-timestamp transactions observed our start, so abort.
+		snap := v.([]history.Value)
 		count := 0
 		for _, ts := range snap {
 			if ts.(int) >= l.timestamp {
@@ -368,7 +341,6 @@ func (f *i12TryCFrame) Step(p *sim.Proc) (history.Value, sim.StepStatus) {
 			return history.Abort, sim.StepDone
 		}
 		f.next = &memState{version: l.snapshot.version + 1, vals: l.values}
-		f.pc = 1
 		return nil, sim.StepPaused
 	}
 	if t.c.CompareAndSwapW(p, l.snapshot, f.next) {
@@ -380,6 +352,9 @@ func (f *i12TryCFrame) Step(p *sim.Proc) (history.Value, sim.StepStatus) {
 // Fork implements sim.Frame.
 func (f *i12TryCFrame) Fork() sim.Frame {
 	c := *f
+	if f.sub != nil {
+		c.sub = f.sub.Fork()
+	}
 	return &c
 }
 
@@ -401,11 +376,6 @@ func NewGlobalCAS(n int) *GlobalCAS {
 	}
 }
 
-// Apply implements sim.Object.
-func (t *GlobalCAS) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
-	return tmApply(t, p, inv)
-}
-
 // Footprints implements sim.Footprinted: the only cross-process state is
 // the central CAS C; the transaction contexts are per-process.
 func (t *GlobalCAS) Footprints() bool { return true }
@@ -422,53 +392,7 @@ func (t *GlobalCAS) Restore(v any) {
 	restoreLocals(t.local, st.local)
 }
 
-func (t *GlobalCAS) start(p *sim.Proc) history.Value {
-	l := &t.local[p.ID()]
-	st := t.c.Read(p).(*memState)
-	l.snapshot = st
-	l.values = make(map[string]history.Value, len(st.vals))
-	for k, v := range st.vals {
-		l.values[k] = v
-	}
-	l.active = true
-	return history.OK
-}
-
-func (t *GlobalCAS) read(p *sim.Proc, v string) history.Value {
-	l := &t.local[p.ID()]
-	if !l.active {
-		return history.Abort
-	}
-	if val, ok := l.values[v]; ok {
-		return val
-	}
-	return 0
-}
-
-func (t *GlobalCAS) write(p *sim.Proc, v string, val history.Value) history.Value {
-	l := &t.local[p.ID()]
-	if !l.active {
-		return history.Abort
-	}
-	l.values[v] = val
-	return history.OK
-}
-
-func (t *GlobalCAS) tryC(p *sim.Proc) history.Value {
-	l := &t.local[p.ID()]
-	p.Observe(l.active)
-	if !l.active {
-		return history.Abort
-	}
-	l.active = false
-	next := &memState{version: l.snapshot.version + 1, vals: l.values}
-	if t.c.CompareAndSwap(p, l.snapshot, next) {
-		return history.Commit
-	}
-	return history.Abort
-}
-
-// Begin implements sim.Stepped (see I12.Begin; GlobalCAS has no
+// Begin implements sim.Object (see I12.Begin; GlobalCAS has no
 // snapshot object, so start is a single read and tryC a single CAS).
 // Both frames are immutable after Begin, so Fork returns the receiver.
 func (t *GlobalCAS) Begin(p *sim.Proc, inv sim.Invocation) (sim.Frame, history.Value, sim.StepStatus) {
@@ -485,9 +409,9 @@ func (t *GlobalCAS) Begin(p *sim.Proc, inv sim.Invocation) (sim.Frame, history.V
 		next := &memState{version: l.snapshot.version + 1, vals: l.values}
 		return &gcasCommitFrame{t: t, old: l.snapshot, next: next}, nil, sim.StepPaused
 	case history.TMRead:
-		return nil, t.read(p, inv.Obj), sim.StepDone
+		return nil, t.local[p.ID()].read(inv.Obj), sim.StepDone
 	case history.TMWrite:
-		return nil, t.write(p, inv.Obj, inv.Arg), sim.StepDone
+		return nil, t.local[p.ID()].write(inv.Obj, inv.Arg), sim.StepDone
 	default:
 		return nil, history.Abort, sim.StepDone
 	}
@@ -538,32 +462,10 @@ func (f *gcasCommitFrame) Fork() sim.Frame { return f }
 // vacuous for TM, which is why G_Tp is restricted to commits.
 type Aborter struct{}
 
-// Apply implements sim.Object.
-func (Aborter) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
-	return history.Abort
-}
-
-// tmImpl is the internal operation set shared by I12 and GlobalCAS.
-type tmImpl interface {
-	start(p *sim.Proc) history.Value
-	read(p *sim.Proc, v string) history.Value
-	write(p *sim.Proc, v string, val history.Value) history.Value
-	tryC(p *sim.Proc) history.Value
-}
-
-func tmApply(t tmImpl, p *sim.Proc, inv sim.Invocation) history.Value {
-	switch inv.Op {
-	case history.TMStart:
-		return t.start(p)
-	case history.TMRead:
-		return t.read(p, inv.Obj)
-	case history.TMWrite:
-		return t.write(p, inv.Obj, inv.Arg)
-	case history.TMTryC:
-		return t.tryC(p)
-	default:
-		return history.Abort
-	}
+// Begin implements sim.Object: every operation aborts in its
+// invocation window.
+func (Aborter) Begin(p *sim.Proc, inv sim.Invocation) (sim.Frame, history.Value, sim.StepStatus) {
+	return nil, history.Abort, sim.StepDone
 }
 
 // Txn is a transaction template for workload environments: a sequence of

@@ -22,65 +22,16 @@ import (
 // single atomic step.
 type testRegister struct{ v hist.Value }
 
-func (r *testRegister) Apply(p *run.Proc, inv run.Invocation) hist.Value {
-	var out hist.Value
-	switch inv.Op {
-	case "read":
-		p.Exec("read", func() { out = r.v })
-	case "write":
-		p.Exec("write", func() { r.v = inv.Arg; out = hist.OK })
-	}
-	return out
-}
-
 // badRegister responds to reads with a value nobody ever wrote.
 type badRegister struct{}
-
-func (badRegister) Apply(p *run.Proc, inv run.Invocation) hist.Value {
-	var out hist.Value
-	switch inv.Op {
-	case "read":
-		p.Exec("read", func() { out = 99 })
-	case "write":
-		p.Exec("write", func() { out = hist.OK })
-	}
-	return out
-}
 
 // brokenLock grants every acquire immediately: mutual exclusion fails as
 // soon as two processes hold it.
 type brokenLock struct{}
 
-func (brokenLock) Apply(p *run.Proc, inv run.Invocation) hist.Value {
-	var out hist.Value
-	p.Exec(inv.Op, func() {
-		if inv.Op == mutex.OpAcquire {
-			out = mutex.Locked
-		} else {
-			out = mutex.Unlocked
-		}
-	})
-	return out
-}
-
 // brokenTM responds to reads with an invented value and commits
 // everything: opacity (and everything stronger) fails.
 type brokenTM struct{}
-
-func (brokenTM) Apply(p *run.Proc, inv run.Invocation) hist.Value {
-	var out hist.Value
-	p.Exec(inv.Op, func() {
-		switch inv.Op {
-		case hist.TMRead:
-			out = 7
-		case hist.TMTryC:
-			out = hist.Commit
-		default:
-			out = hist.OK
-		}
-	})
-	return out
-}
 
 // registerEnv has both processes write their id then read.
 func registerEnv() run.Environment {
@@ -98,6 +49,55 @@ func txnRW() map[int]tm.Txn {
 }
 
 // propCase is one good-run/bad-run pair for a property constructor.
+// The test objects below take one access window per operation.
+
+func (r *testRegister) Begin(p *run.Proc, inv run.Invocation) (run.Frame, hist.Value, run.StepStatus) {
+	return run.ObjectFunc(func(p *run.Proc, inv run.Invocation) hist.Value {
+		switch inv.Op {
+		case "read":
+			return r.v
+		case "write":
+			r.v = inv.Arg
+			return hist.OK
+		}
+		return nil
+	}).Begin(p, inv)
+}
+
+func (badRegister) Begin(p *run.Proc, inv run.Invocation) (run.Frame, hist.Value, run.StepStatus) {
+	return run.ObjectFunc(func(p *run.Proc, inv run.Invocation) hist.Value {
+		switch inv.Op {
+		case "read":
+			return 99
+		case "write":
+			return hist.OK
+		}
+		return nil
+	}).Begin(p, inv)
+}
+
+func (brokenLock) Begin(p *run.Proc, inv run.Invocation) (run.Frame, hist.Value, run.StepStatus) {
+	return run.ObjectFunc(func(p *run.Proc, inv run.Invocation) hist.Value {
+		if inv.Op == mutex.OpAcquire {
+			return mutex.Locked
+		}
+		return mutex.Unlocked
+	}).Begin(p, inv)
+}
+
+func (brokenTM) Begin(p *run.Proc, inv run.Invocation) (run.Frame, hist.Value, run.StepStatus) {
+	return run.ObjectFunc(func(p *run.Proc, inv run.Invocation) hist.Value {
+		switch inv.Op {
+		case hist.TMRead:
+			return 7
+		case hist.TMTryC:
+			return hist.Commit
+		default:
+			return hist.OK
+		}
+	}).Begin(p, inv)
+}
+
 type propCase struct {
 	name string
 	prop func() slx.Property

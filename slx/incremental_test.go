@@ -115,18 +115,27 @@ func TestIncrementalVerdictParity(t *testing.T) {
 // must fall back to replay execution transparently.
 type noSnapRegister struct{ v hist.Value }
 
-func (r *noSnapRegister) Apply(p *run.Proc, inv run.Invocation) hist.Value {
-	var out hist.Value
+func (r *noSnapRegister) Footprints() bool { return true }
+
+// Begin implements run.Object: each operation is one access window.
+func (r *noSnapRegister) Begin(p *run.Proc, inv run.Invocation) (run.Frame, hist.Value, run.StepStatus) {
 	switch inv.Op {
-	case "read":
-		p.Exec("read", func() { p.Access("r", false); out = r.v; p.Observe(out) })
-	case "write":
-		p.Exec("write", func() { p.Access("r", true); r.v = inv.Arg; out = hist.OK })
+	case "read", "write":
+		return run.ObjectFunc(r.access).Begin(p, inv)
 	}
-	return out
+	return nil, nil, run.StepDone
 }
 
-func (r *noSnapRegister) Footprints() bool { return true }
+func (r *noSnapRegister) access(p *run.Proc, inv run.Invocation) hist.Value {
+	if inv.Op == "read" {
+		p.Access("r", false)
+		p.Observe(r.v)
+		return r.v
+	}
+	p.Access("r", true)
+	r.v = inv.Arg
+	return hist.OK
+}
 
 // TestIncrementalFallbackTransparent pins the fallback contract: an
 // object without run.Snapshottable explores by from-root replay with or

@@ -20,28 +20,8 @@ import (
 
 // porRegister is a linearizable register with declared footprints,
 // observations, a state fingerprint, snapshots and a continuation form
-// (the reference pattern for hand-rolled session-capable objects: Apply
-// is the blocking oracle, Begin/Step the equivalent frame machine).
+// (the reference pattern for hand-rolled session-capable objects).
 type porRegister struct{ v hist.Value }
-
-func (r *porRegister) Apply(p *run.Proc, inv run.Invocation) hist.Value {
-	var out hist.Value
-	switch inv.Op {
-	case "read":
-		p.Exec("read", func() {
-			p.Access("r", false)
-			out = r.v
-			p.Observe(out)
-		})
-	case "write":
-		p.Exec("write", func() {
-			out = hist.OK
-			p.Access("r", true)
-			r.v = inv.Arg
-		})
-	}
-	return out
-}
 
 func (r *porRegister) Footprints() bool { return true }
 
@@ -57,7 +37,7 @@ type porRegisterFrame struct {
 	inv run.Invocation
 }
 
-// Begin implements run.Stepped.
+// Begin implements run.Object.
 func (r *porRegister) Begin(p *run.Proc, inv run.Invocation) (run.Frame, hist.Value, run.StepStatus) {
 	switch inv.Op {
 	case "read", "write":
@@ -86,27 +66,6 @@ func (f *porRegisterFrame) Fork() run.Frame { return f }
 // taking effect, so its write-then-read is not linearizable.
 type lossyRegister struct{ v hist.Value }
 
-func (r *lossyRegister) Apply(p *run.Proc, inv run.Invocation) hist.Value {
-	var out hist.Value
-	switch inv.Op {
-	case "read":
-		p.Exec("read", func() {
-			p.Access("r", false)
-			out = r.v
-			p.Observe(out)
-		})
-	case "write":
-		p.Exec("write", func() {
-			out = hist.OK
-			p.Access("r", true)
-			if p.ID() != 2 {
-				r.v = inv.Arg
-			}
-		})
-	}
-	return out
-}
-
 func (r *lossyRegister) Footprints() bool { return true }
 
 func (r *lossyRegister) Fingerprint(f *run.Fingerprinter) { f.Str("r"); f.Val(r.v) }
@@ -121,7 +80,7 @@ type lossyRegisterFrame struct {
 	inv run.Invocation
 }
 
-// Begin implements run.Stepped.
+// Begin implements run.Object.
 func (r *lossyRegister) Begin(p *run.Proc, inv run.Invocation) (run.Frame, hist.Value, run.StepStatus) {
 	switch inv.Op {
 	case "read", "write":
@@ -155,34 +114,6 @@ func (f *lossyRegisterFrame) Fork() run.Frame { return f }
 // live exclusively in racy branches a wrong reduction might prune.
 type racyLock struct{ held bool }
 
-func (l *racyLock) Apply(p *run.Proc, inv run.Invocation) hist.Value {
-	switch inv.Op {
-	case mutex.OpAcquire:
-		for {
-			var free bool
-			p.Exec("test", func() {
-				p.Access("lock", false)
-				free = !l.held
-				p.Observe(free)
-			})
-			if free {
-				p.Exec("set", func() {
-					p.Access("lock", true)
-					l.held = true
-				})
-				return mutex.Locked
-			}
-		}
-	case mutex.OpRelease:
-		p.Exec("clear", func() {
-			p.Access("lock", true)
-			l.held = false
-		})
-		return mutex.Unlocked
-	}
-	return nil
-}
-
 func (l *racyLock) Footprints() bool { return true }
 
 func (l *racyLock) Fingerprint(f *run.Fingerprinter) { f.Str("lock"); f.Bool(l.held) }
@@ -200,7 +131,7 @@ type racyLockFrame struct {
 	free bool
 }
 
-// Begin implements run.Stepped.
+// Begin implements run.Object.
 func (l *racyLock) Begin(p *run.Proc, inv run.Invocation) (run.Frame, hist.Value, run.StepStatus) {
 	switch inv.Op {
 	case mutex.OpAcquire, mutex.OpRelease:

@@ -21,19 +21,22 @@ type Invocation = sim.Invocation
 // LazyArg is an invocation argument resolved at scheduling time.
 type LazyArg = sim.LazyArg
 
-// Object is a shared-object implementation under test.
+// Object is a shared-object implementation under test, written as a
+// continuation state machine: Begin runs an operation's invocation
+// window and returns the Frame that the engine steps once per granted
+// step. See sim.Object for the window rule.
 type Object = sim.Object
 
-// ObjectFunc adapts a function to Object.
+// ObjectFunc adapts a function to Object as a one-window operation.
 type ObjectFunc = sim.ObjectFunc
 
-// Proc is the per-process handle passed to Object.Apply.
+// Proc is the per-process handle passed to Object.Begin and Frame.Step.
 type Proc = sim.Proc
 
 // Footprinted is the opt-in footprint hook for partial-order reduction:
 // Objects implementing it promise that every cross-process access of
-// Apply is declared to the executing Proc (repository base objects
-// declare automatically; custom single-step objects call Proc.Access).
+// their steps is declared to the executing Proc (repository base
+// objects declare automatically; custom objects call Proc.Access).
 type Footprinted = sim.Footprinted
 
 // Access is the recorded footprint of one scheduler decision.
@@ -42,7 +45,7 @@ type Access = sim.Access
 // Fingerprintable is the opt-in state-fingerprint hook for exploration's
 // state cache: Objects implementing it promise a canonical content
 // encoding of all shared state (never pointer-identity-sensitive) and
-// that every value Apply reads from shared state is declared via
+// that every value their steps read from shared state is declared via
 // Proc.Observe (repository base objects declare automatically).
 type Fingerprintable = sim.Fingerprintable
 
@@ -51,10 +54,9 @@ type Fingerprintable = sim.Fingerprintable
 type Fingerprinter = sim.Fingerprinter
 
 // Snapshottable is the opt-in snapshot hook of incremental exploration:
-// Objects implementing it (together with Stepped) can be rewound to
-// earlier configurations, so Explore descends by extending one
-// persistent simulation instead of replaying every prefix from the
-// root. Snapshot/Restore must capture all object state that outlives a
+// Objects implementing it can be rewound to earlier configurations, so
+// Explore descends by extending one persistent simulation instead of
+// replaying every prefix from the root. Snapshot/Restore must capture all object state that outlives a
 // granted step (repository base objects provide composable
 // Snapshot/Restore methods); in-flight operation state lives in the
 // continuation frames, which the engine forks and restores by itself.
@@ -62,14 +64,7 @@ type Fingerprinter = sim.Fingerprinter
 // the hook are explored by from-root replay, with identical verdicts.
 type Snapshottable = sim.Snapshottable
 
-// Stepped is the continuation form of an Object: operations run as
-// explicit resumable frames (one access per Step call) driven directly
-// by the exploration loop, with no goroutine per process. Incremental
-// exploration requires it alongside Snapshottable. See sim.Stepped for
-// the window-equivalence contract with Apply.
-type Stepped = sim.Stepped
-
-// Frame is one in-flight operation of a Stepped object.
+// Frame is one in-flight operation of an Object.
 type Frame = sim.Frame
 
 // StepStatus is what a Begin or Step call reports back to the engine.
@@ -96,10 +91,6 @@ type RewindableEnv = sim.RewindableEnv
 // treated as durable and recovery runs no routine. See sim.Recoverable
 // for the full composition contract.
 type Recoverable = sim.Recoverable
-
-// SessionGated optionally vetoes snapshot support at runtime (for
-// objects with pluggable components); see sim.SessionGated.
-type SessionGated = sim.SessionGated
 
 // CanSnapshot reports whether an object will be explored incrementally.
 func CanSnapshot(o Object) bool { return sim.CanSnapshot(o) }

@@ -11,13 +11,17 @@ import (
 // counter is a tiny footprint-declaring shared counter.
 type counter struct{ n int }
 
-func (c *counter) Apply(p *run.Proc, inv run.Invocation) hist.Value {
-	var out hist.Value
-	p.Exec("incr", func() { p.Access("n", true); c.n++; out = c.n })
-	return out
-}
-
 func (c *counter) Footprints() bool { return true }
+
+// Begin implements run.Object: one window increments and reads the
+// counter.
+func (c *counter) Begin(p *run.Proc, inv run.Invocation) (run.Frame, hist.Value, run.StepStatus) {
+	return run.ObjectFunc(func(p *run.Proc, inv run.Invocation) hist.Value {
+		p.Access("n", true)
+		c.n++
+		return c.n
+	}).Begin(p, inv)
+}
 
 func config(obj run.Object, sched run.Scheduler) run.Config {
 	return run.Config{
