@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/explore"
@@ -171,5 +172,28 @@ func TestQueueSequentialFIFO(t *testing.T) {
 		if resps[i] != want[i] {
 			t.Fatalf("deq[%d] = %v, want %v", i, resps[i], want[i])
 		}
+	}
+}
+
+// TestLockedRejectsThirdProcess pins the Peterson lock's two-process
+// contract: a third process invoking the lock-based queue panics with a
+// message naming the contract, and the panic reaches the caller of
+// sim.Run rather than some other goroutine.
+func TestLockedRejectsThirdProcess(t *testing.T) {
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		sim.Run(sim.Config{
+			Procs:  3,
+			Object: NewLocked(),
+			Env: sim.Script(map[int][]sim.Invocation{
+				3: {{Op: "enq", Arg: "v"}},
+			}),
+			Scheduler: &sim.RoundRobin{},
+		})
+	}()
+	msg, ok := got.(string)
+	if !ok || !strings.Contains(msg, "two-process lock") {
+		t.Fatalf("sim.Run over NewLocked at 3 processes: recovered %v, want a panic naming the two-process contract", got)
 	}
 }

@@ -1,11 +1,13 @@
 // Package simtest enumerates schedule trees for the simulator's golden
 // tests. A Tree names an object, an environment and a bound (depth,
 // crash and recovery budgets); Walk visits every schedule prefix of the
-// tree by a from-root sim.Run per node and folds each node's observable
-// outcome — schedule, history, footprint, process sets and state
-// fingerprint — into one order-sensitive digest per tree. The golden
-// files under testdata pin those digests, so any change to what a
-// schedule produces shows up as a digest mismatch.
+// tree by a from-root sim.Run per node, and WalkSession visits the same
+// prefixes depth-first on one Session, rewinding with Mark/Restore.
+// Both fold each node's observable outcome — schedule, history,
+// footprint, process sets and state fingerprint — into one
+// order-sensitive digest per tree. The golden files under testdata pin
+// those digests, so any change to what a schedule produces shows up as
+// a digest mismatch, and the two walks must agree with each other.
 package simtest
 
 import (
@@ -228,6 +230,73 @@ func Walk(t Tree) (nodes int, digest uint64) {
 	return f.nodes, f.h
 }
 
+// WalkSession enumerates t depth-first on one session, extending one
+// decision per edge and restoring the parent's mark after each child,
+// and returns the node count and the tree digest. The object must be
+// sim.Snapshottable.
+func WalkSession(t Tree) (nodes int, digest uint64, err error) {
+	obj := t.NewObject()
+	s, err := sim.NewSession(sim.SessionConfig{
+		Procs: t.Procs, Object: obj, NewEnv: t.NewEnv, Fingerprint: true,
+	})
+	if err != nil {
+		return 0, 0, err
+	}
+	defer s.Close()
+	f := &folder{h: history.DigestSeed()}
+	var schedule []sim.Decision
+	var accesses []sim.Access
+	var visit func(crashes, recovered int) error
+	visit = func(crashes, recovered int) error {
+		v := s.View()
+		n := &node{
+			schedule: schedule, h: s.History(), steps: s.Steps(),
+			tracked: tracks(obj), accesses: accesses,
+			ready:   append([]int(nil), v.Ready...),
+			idle:    append([]int(nil), v.Idle...),
+			blocked: append([]int(nil), v.Blocked...),
+			crashed: append([]int(nil), v.Crashed...),
+			crashes: crashes, recovered: recovered,
+		}
+		n.fp, n.fpOK = s.Fingerprint()
+		f.add(n)
+		children := t.children(n)
+		if len(children) == 0 {
+			return nil
+		}
+		m := s.Mark()
+		defer s.Release(m)
+		for _, d := range children {
+			info, err := s.Extend(d)
+			if err != nil {
+				return fmt.Errorf("prefix %v: %w", append(schedule, d), err)
+			}
+			schedule = append(schedule, d)
+			accesses = append(accesses, info.Access)
+			c, r := crashes, recovered
+			if d.Crash {
+				c++
+			}
+			if d.Recover {
+				r++
+			}
+			if err := visit(c, r); err != nil {
+				return err
+			}
+			schedule = schedule[:len(schedule)-1]
+			accesses = accesses[:len(accesses)-1]
+			if _, err := s.Restore(m); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := visit(0, 0); err != nil {
+		return 0, 0, err
+	}
+	return f.nodes, f.h, nil
+}
+
 func in(p int, xs []int) bool {
 	for _, x := range xs {
 		if x == p {
@@ -270,7 +339,9 @@ func ReadGolden(tb testing.TB, path string) map[string]string {
 }
 
 // CheckGolden walks every tree and compares its line with the golden
-// file at path. Every tree must have a line and every line a tree.
+// file at path; trees over snapshottable objects are walked a second
+// time on a session and must match the same line. Every tree must have
+// a line and every line a tree.
 func CheckGolden(t *testing.T, path string, trees []Tree) {
 	t.Helper()
 	want := ReadGolden(t, path)
@@ -281,10 +352,23 @@ func CheckGolden(t *testing.T, path string, trees []Tree) {
 		t.Run(tr.Name, func(t *testing.T) {
 			nodes, digest := Walk(tr)
 			got := Line(tr, nodes, digest)
-			if w, ok := want[tr.Key()]; !ok {
+			w, ok := want[tr.Key()]
+			if !ok {
 				t.Errorf("no golden line for %q; computed:\n%s", tr.Key(), got)
-			} else if got != w {
-				t.Errorf("tree mismatch:\n got %s\nwant %s", got, w)
+				return
+			}
+			if got != w {
+				t.Errorf("tree mismatch (sim.Run):\n got %s\nwant %s", got, w)
+			}
+			if !sim.CanSnapshot(tr.NewObject()) {
+				return
+			}
+			nodes, digest, err := WalkSession(tr)
+			if err != nil {
+				t.Fatalf("session walk: %v", err)
+			}
+			if got := Line(tr, nodes, digest); got != w {
+				t.Errorf("tree mismatch (session Mark/Restore):\n got %s\nwant %s", got, w)
 			}
 		})
 	}
