@@ -30,7 +30,7 @@
 //   - sections may declare a same-run speedup gate ("speedup_over",
 //     "speedup_gate"): the named section's ns/op divided by this
 //     section's, both measured in the same process, must reach the
-//     gate. The monitor section gates the continuation engine at ≥13×
+//     gate. The monitor section gates the incremental engine at ≥3.2×
 //     the from-root replay engine, a ratio of two timings on one host
 //     rather than an absolute time;
 //   - the sampling sections' schedules and distinct_states counts must
@@ -83,6 +83,7 @@ var sections = map[string]string{
 	"BenchmarkSampleThroughput":               "sample",
 	"BenchmarkSampleThroughputReplay":         "sample_replay",
 	"BenchmarkServiceThroughput":              "service",
+	"BenchmarkFigure1aConsensusPlane":         "figure1a",
 }
 
 // metrics is one section's measurements, in the baseline's JSON shape.

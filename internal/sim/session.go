@@ -25,9 +25,9 @@ import (
 //     immutable, and Snapshot must return data later mutations of the
 //     object cannot reach.
 //  3. State local to one in-flight operation lives in its Frame, not
-//     in the object: the Session forks frames on Mark and
-//     Restore, so anything a frame reaches by pointer must either be
-//     covered by Snapshot/Restore or be deep-copied by Frame.Fork.
+//     in the object: the Session forks frames on Mark and Restore, so
+//     anything a frame reaches by pointer must either be covered by
+//     Snapshot/Restore or be deep-copied by Frame.Fork.
 //  4. Begin and every Frame.Step are deterministic given the
 //     invocation and the observed values (which the simulator already
 //     requires for replay).

@@ -35,6 +35,10 @@ import (
 // DefaultMaxSteps bounds a run when Config.MaxSteps is zero.
 const DefaultMaxSteps = 10000
 
+// presizeSteps is the largest step budget for which Run sizes its
+// history, schedule and access buffers up front.
+const presizeSteps = 1024
+
 // Invocation describes an operation a process invokes on the object under
 // test.
 type Invocation struct {
@@ -102,10 +106,10 @@ func (fr *funcFrame) Fork() Frame { return fr }
 
 // Footprinted is the opt-in footprint hook for partial-order reduction:
 // an Object implementing it (with Footprints returning true) promises
-// that every access its operations make to state shared between processes is
-// performed through base objects that declare the access to the
-// executing process (internal/base objects do this automatically via
-// Proc.Access), and that any other cross-process state it keeps is
+// that every access its operations make to state shared between
+// processes is performed through base objects that declare the access
+// to the executing process (internal/base objects do this automatically
+// via Proc.Access), and that any other cross-process state it keeps is
 // footprint-neutral (e.g. deterministic lazy allocation whose outcome
 // does not depend on which process performs it). The runtime then
 // records a per-decision access log in Result.Accesses, which
@@ -636,10 +640,22 @@ func (r *runtime) view() *View {
 	v.H = r.h[:len(r.h):len(r.h)]
 	v.Steps = r.steps
 	v.StepsBy = append(v.StepsBy[:0], r.stepsBy...)
-	v.Ready = r.appendStatus(v.Ready[:0], statusReady)
-	v.Idle = r.appendStatus(v.Idle[:0], statusIdle)
-	v.Blocked = r.appendStatus(v.Blocked[:0], statusBlocked)
-	v.Crashed = r.appendStatus(v.Crashed[:0], statusCrashed)
+	v.Ready = v.Ready[:0]
+	v.Idle = v.Idle[:0]
+	v.Blocked = v.Blocked[:0]
+	v.Crashed = v.Crashed[:0]
+	for id := 1; id <= r.cfg.Procs; id++ {
+		switch r.status[id] {
+		case statusReady:
+			v.Ready = append(v.Ready, id)
+		case statusIdle:
+			v.Idle = append(v.Idle, id)
+		case statusBlocked:
+			v.Blocked = append(v.Blocked, id)
+		case statusCrashed:
+			v.Crashed = append(v.Crashed, id)
+		}
+	}
 	return v
 }
 
@@ -811,6 +827,19 @@ func Run(cfg Config) *Result {
 	res := &Result{}
 	var schedule []Decision
 	var accesses []Access
+	if cfg.MaxSteps <= presizeSteps {
+		// A granted step records at most one event, decision and access.
+		// Short budgets (adversary probes, liveness batteries, replayed
+		// prefixes) mostly run out, so sizing the buffers up front saves
+		// the garbage of growing them, which otherwise raised the peak
+		// heap of the paper's figures.
+		r.h = make(history.History, 0, cfg.MaxSteps)
+		r.eventSteps = make([]int, 0, cfg.MaxSteps)
+		schedule = make([]Decision, 0, cfg.MaxSteps)
+		if r.track {
+			accesses = make([]Access, 0, cfg.MaxSteps)
+		}
+	}
 	for {
 		if r.steps >= cfg.MaxSteps {
 			res.Reason = StopBudget
