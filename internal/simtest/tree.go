@@ -14,6 +14,7 @@ import (
 	"bufio"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 	"testing"
 
@@ -150,29 +151,15 @@ func (t Tree) children(n *node) []sim.Decision {
 		out = append(out, sim.Decision{Proc: p})
 	}
 	if n.crashes < t.Crashes {
-		for _, p := range merge(n.ready, n.blocked) {
+		live := append(append([]int(nil), n.ready...), n.blocked...)
+		sort.Ints(live)
+		for _, p := range live {
 			out = append(out, sim.Decision{Proc: p, Crash: true})
 		}
 	}
 	if n.recovered < t.Recoveries {
 		for _, p := range n.crashed {
 			out = append(out, sim.Decision{Proc: p, Recover: true})
-		}
-	}
-	return out
-}
-
-// merge returns the sorted union of two sorted disjoint id lists.
-func merge(a, b []int) []int {
-	out := make([]int, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		if j == len(b) || (i < len(a) && a[i] < b[j]) {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
 		}
 	}
 	return out
